@@ -8,7 +8,7 @@ import os
 _threads = os.environ.get("SNAPFLOW_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "NUMBA_NUM_THREADS"):
+                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
 import argparse

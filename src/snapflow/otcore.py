@@ -1,10 +1,13 @@
-"""Entropic optimal transport: pairwise costs, log-domain Sinkhorn, Top-K
-truncation of couplings, and a debiased Sinkhorn distance for evaluation.
+"""Entropic optimal transport: pairwise costs, Sinkhorn, Top-K truncation of
+couplings, and a debiased Sinkhorn distance for evaluation.
 
-All solvers run on plain numpy; couplings are treated as constants by the
-training losses, so nothing here records onto the autodiff tape except
-``transport_cost_sq``, which propagates gradients through the cost entries
-of a fixed plan.
+Both solvers share one scaling-domain engine with absorption and
+epsilon-scaling (Schmitzer 2019, arXiv:1610.06519): matrix-vector
+iterations on a kernel that carries the dual potentials, which are
+re-absorbed into it whenever the scalings grow. All solvers run on plain
+numpy; couplings are treated as constants by the training losses, so
+nothing here records onto the autodiff tape except ``transport_cost_sq``,
+which propagates gradients through the cost entries of a fixed plan.
 """
 
 from __future__ import annotations
@@ -12,19 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - mirror environments without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 from . import ndtensor as nd
 
@@ -117,111 +107,94 @@ def cost_bidirectional(Za, Zb, forward_field, backward_field, t_a, t_b):
 # Sinkhorn
 # ---------------------------------------------------------------------------
 
-def _logsumexp(M, axis):
-    mx = M.max(axis=axis, keepdims=True)
-    return (mx + np.log(np.exp(M - mx).sum(axis=axis, keepdims=True))).squeeze(axis)
+_TAU = 1e3  # scalings leaving [1/_TAU, _TAU] are absorbed into the potentials
 
 
-@njit(cache=True)
-def _sinkhorn_kernel(Ce, CeT, loga, logb, max_iters, tol, fe, ge, check_every):
-    """Gauss-Seidel log-domain Sinkhorn loop on eps-scaled potentials, in place.
+def _epsilon_schedule(d_max, eps_target, scaling):
+    """Geometric annealing from the cost's own scale down to the target."""
+    eps_list = []
+    eps = max(d_max, eps_target)
+    while eps > eps_target * 1.0000001:
+        eps_list.append(eps)
+        eps *= scaling * scaling
+    eps_list.append(eps_target)
+    return eps_list
 
-    Works entirely in the scaled domain (potential/eps); terms more than 40
-    log-units below the running max are skipped, which changes sums by less
-    than 1e-15 relative. Rows are rescaled last, so row marginals are exact
-    at exit; the violation is measured on columns every ``check_every``
-    iterations.
+
+class _ScaledKernel:
+    """One entropic problem in scaling form (Schmitzer 2019, arXiv:1610.06519).
+
+    The kernel K_ij = exp((f_i + g_j - C_ij)/eps) absorbs the potentials f, g;
+    the scalings u, v act on top of it, so the current potentials are
+    f + eps*log(u) and g + eps*log(v). Keeping u and v within [1/_TAU, _TAU]
+    by absorbing them keeps K representable where exp(-C/eps) underflows.
     """
-    n, m = Ce.shape
-    it = 0
-    converged = False
-    while it < max_iters:
-        it += 1
-        for j in range(m):
-            mx = -1e300
-            for i in range(n):
-                v = fe[i] - CeT[j, i]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for i in range(n):
-                v = fe[i] - CeT[j, i] - mx
-                if v > -40.0:
-                    s += np.exp(v)
-            ge[j] = logb[j] - (mx + np.log(s))
-        for i in range(n):
-            mx = -1e300
-            for j in range(m):
-                v = ge[j] - Ce[i, j]
-                if v > mx:
-                    mx = v
-            s = 0.0
-            for j in range(m):
-                v = ge[j] - Ce[i, j] - mx
-                if v > -40.0:
-                    s += np.exp(v)
-            fe[i] = loga[i] - (mx + np.log(s))
-        if it % check_every == 0 or it == max_iters:
-            viol = 0.0
-            for j in range(m):
-                colsum = 0.0
-                for i in range(n):
-                    v = fe[i] + ge[j] - CeT[j, i]
-                    if v > -400.0:
-                        colsum += np.exp(v)
-                d = abs(colsum - np.exp(logb[j]))
-                if d > viol:
-                    viol = d
-            if viol < tol:
-                converged = True
-                break
-    return it, converged
+
+    def __init__(self, C):
+        self.C = C
+        self.f = np.zeros(C.shape[0])
+        self.g = np.zeros(C.shape[1])
+        self.u = np.ones_like(self.f)
+        self.v = np.ones_like(self.g)
+        self.K = np.empty_like(C)
+        self.eps = None
+
+    def rebuild(self, eps):
+        """Fold the scalings into the potentials and rebuild K, in place, at eps."""
+        if self.eps is not None:
+            self.f += self.eps * np.log(self.u)
+            self.g += self.eps * np.log(self.v)
+        self.u = np.ones_like(self.f)
+        self.v = np.ones_like(self.g)
+        self.eps = eps
+        np.add.outer(self.f, self.g, out=self.K)
+        self.K -= self.C
+        self.K *= 1.0 / eps
+        np.exp(self.K, out=self.K)
+
+    def escaped(self):
+        return (max(self.u.max(), self.v.max()) > _TAU
+                or min(self.u.min(), self.v.min()) < 1.0 / _TAU)
+
+    def potentials(self):
+        return (self.f + self.eps * np.log(self.u),
+                self.g + self.eps * np.log(self.v))
+
+    def plan(self):
+        """diag(u) K diag(v), written over K."""
+        self.K *= self.u[:, None]
+        self.K *= self.v
+        return self.K
 
 
-def _sinkhorn_kernel_numpy(Ce, CeT, loga, logb, max_iters, tol, fe, ge, check_every):
-    """Vectorized twin of _sinkhorn_kernel for installs without numba."""
-    it = 0
-    converged = False
-    b = np.exp(logb)
-    while it < max_iters:
-        it += 1
-        ge[:] = logb - _logsumexp(fe[:, None] - Ce, axis=0)
-        fe[:] = loga - _logsumexp(ge[None, :] - Ce, axis=1)
-        if it % check_every == 0 or it == max_iters:
-            P = np.exp(fe[:, None] + ge[None, :] - Ce)
-            if np.abs(P.sum(axis=0) - b).max() < tol:
-                converged = True
-                break
-    return it, converged
+def _sinkhorn_scaled(C, a, b, eps, max_iters, tol):
+    """Annealed alternating Sinkhorn: 5 iterations at each stage of the
+    epsilon schedule, then up to ``max_iters`` at ``eps``.
 
-
-def _sinkhorn_log(C, loga, logb, eps, max_iters, tol, anneal=True):
-    """Annealed warm start followed by the fixed-point loop at ``eps``.
-
-    Annealing only improves the initial potentials; the fixed point and the
-    stopping rule are those of plain Sinkhorn at ``eps``.
+    Columns are scaled first and rows last, so rows are exact at exit. The
+    column violation |v*(K^T u) - b| is checked every final-stage iteration;
+    K^T u is also the next column update's denominator. Annealing only
+    improves the starting potentials; the fixed point and the stopping rule
+    are those of plain Sinkhorn at ``eps``.
     """
-    n, m = C.shape
-    fe = np.zeros(n)
-    ge = np.zeros(m)
-    kernel = _sinkhorn_kernel if _HAVE_NUMBA else _sinkhorn_kernel_numpy
-    if anneal:
-        d_max = float(C.max())
-        if d_max > eps:
-            schedule = _epsilon_schedule(d_max, eps, 0.5)
-            for k, e in enumerate(schedule[:-1]):
-                Ce = C / e
-                kernel(Ce, np.ascontiguousarray(Ce.T), loga, logb, 5, 0.0,
-                       fe, ge, 10)
-                # potentials are carried in scaled form f/eps
-                ratio = e / schedule[k + 1]
-                fe *= ratio
-                ge *= ratio
-    Ce = C / eps
-    it, converged = kernel(Ce, np.ascontiguousarray(Ce.T), loga, logb,
-                           max_iters, tol, fe, ge, 5)
-    P = np.exp(fe[:, None] + ge[None, :] - Ce)
-    return fe * eps, ge * eps, P, it, converged
+    pr = _ScaledKernel(C)
+    schedule = _epsilon_schedule(float(C.max()), eps, 0.5)
+    for stage, e in enumerate(schedule):
+        final = stage == len(schedule) - 1
+        pr.rebuild(e)
+        Ktu = pr.K.T @ pr.u
+        it = 0
+        while it < (max_iters if final else 5):
+            it += 1
+            pr.v = b / Ktu
+            pr.u = a / (pr.K @ pr.v)
+            Ktu = pr.K.T @ pr.u
+            if final and np.abs(pr.v * Ktu - b).max() < tol:
+                return pr.plan(), it, True
+            if pr.escaped():
+                pr.rebuild(e)
+                Ktu = pr.K.T @ pr.u
+    return pr.plan(), it, False
 
 
 _ROUND_BLOCK = 4096  # entries per rank-one block, keeping temporaries small
@@ -258,7 +231,8 @@ def sinkhorn(C, row_marginal=None, col_marginal=None, epsilon=0.05,
     """Entropic OT plan between discrete measures with the given marginals.
 
     Solves min <P, C> + eps * sum P(log P - 1) over couplings of the
-    marginals, by log-domain Sinkhorn fixed-point iteration. The last
+    marginals, by scaling-domain Sinkhorn with absorption and epsilon-scaling
+    (Schmitzer 2019). The last
     iterate is then rounded onto the marginals (Altschuler, Weed & Rigollet
     2017, Alg. 2), so the returned plan has them even when the solver
     stopped early; its cost moves by at most 2 max|C| times the violation.
@@ -276,7 +250,7 @@ def sinkhorn(C, row_marginal=None, col_marginal=None, epsilon=0.05,
     for name, v in (("row", a), ("col", b)):
         if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} marginal is not a probability vector")
-    _, _, P, it, ok = _sinkhorn_log(C, np.log(a), np.log(b), epsilon, max_iters, tol)
+    P, it, ok = _sinkhorn_scaled(C, a, b, epsilon, max_iters, tol)
     return Coupling(plan=_round_to_marginals(P, a, b), row_marginal=a,
                     col_marginal=b, epsilon=epsilon, converged=ok, iterations=it)
 
@@ -304,85 +278,44 @@ def topk_truncate(pi, K):
 # Evaluation distance
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _softmin_scaled_kernel(Ce, hw):
-    """out_i = -LSE_j(hw_j - Ce_ij), with sub-1e-15 terms skipped."""
-    n, m = Ce.shape
-    out = np.empty(n)
-    for i in range(n):
-        mx = -1e300
-        for j in range(m):
-            v = hw[j] - Ce[i, j]
-            if v > mx:
-                mx = v
-        s = 0.0
-        for j in range(m):
-            v = hw[j] - Ce[i, j] - mx
-            if v > -40.0:
-                s += np.exp(v)
-        out[i] = -(mx + np.log(s))
-    return out
-
-
-def _softmin_scaled(Ce, hw):
-    if _HAVE_NUMBA:
-        return _softmin_scaled_kernel(Ce, hw)
-    M = hw[None, :] - Ce
-    mx = M.max(axis=1, keepdims=True)
-    return -(mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True))).squeeze(1)
-
-
-def _softmin(eps, Ce, logw, h):
-    """softmin_i = -eps * log sum_j w_j exp((h_j - C_ij)/eps), with Ce = C/eps."""
-    return eps * _softmin_scaled(Ce, logw + h / eps)
-
-
-def _epsilon_schedule(d_max, eps_target, scaling):
-    """Geometric annealing from the cost's own scale down to the target."""
-    eps_list = []
-    eps = max(d_max, eps_target)
-    while eps > eps_target * 1.0000001:
-        eps_list.append(eps)
-        eps *= scaling * scaling
-    eps_list.append(eps_target)
-    return eps_list
-
-
 def _divergence_potentials(X, Y, eps_target, scaling, inner_iters, final_iters, tol):
-    """Annealed symmetric-update Sinkhorn potentials for the pair and both
-    self problems, in the weighted convention P_ij = a_i b_j exp((f+g-C)/eps).
+    """Annealed averaged-Jacobi Sinkhorn for the pair and both self problems,
+    in the weighted convention P_ij = a_i b_j exp((f_i + g_j - C_ij)/eps).
 
-    The averaged Jacobi updates make the result exactly symmetric under
-    swapping X and Y, which the alternating solver is not at loose
-    convergence.
+    In scaling form the averaged potential update f <- (f + softmin(g))/2
+    reads u <- sqrt(u / K(b*v)), and likewise for v and for the self
+    problems, whose two scalings are one vector. Updating both sides from
+    the previous iterate makes the result exactly symmetric under swapping X
+    and Y, which the alternating solver is not at loose convergence. Returns
+    the pair problem, the potentials of the self problems and the weights.
     """
-    D_xy = pairwise_sqdist(X, Y)
-    D_xx = pairwise_sqdist(X, X)
-    D_yy = pairwise_sqdist(Y, Y)
-    D_yx = np.ascontiguousarray(D_xy.T)
-    n, m = D_xy.shape
-    loga = np.full(n, -np.log(n))
-    logb = np.full(m, -np.log(m))
-    f = np.zeros(n)
-    g = np.zeros(m)
-    p = np.zeros(n)   # symmetric potential of OT(X, X)
-    q = np.zeros(m)   # symmetric potential of OT(Y, Y)
-    d_max = max(float(D_xy.max()), float(D_xx.max()), float(D_yy.max()))
+    n, m = len(X), len(Y)
+    a = np.full(n, 1.0 / n)
+    b = np.full(m, 1.0 / m)
+    pair = _ScaledKernel(pairwise_sqdist(X, Y))
+    self_x = _ScaledKernel(pairwise_sqdist(X, X))
+    self_y = _ScaledKernel(pairwise_sqdist(Y, Y))
+    problems = (pair, self_x, self_y)
+    d_max = max(float(pr.C.max()) for pr in problems)
     schedule = _epsilon_schedule(d_max, eps_target, scaling)
     for idx, eps in enumerate(schedule):
-        Ce_xy, Ce_yx = D_xy / eps, D_yx / eps
-        Ce_xx, Ce_yy = D_xx / eps, D_yy / eps
-        rounds = final_iters if idx == len(schedule) - 1 else inner_iters
-        for _ in range(rounds):
-            f_new = 0.5 * (f + _softmin(eps, Ce_xy, logb, g))
-            g_new = 0.5 * (g + _softmin(eps, Ce_yx, loga, f))
-            p = 0.5 * (p + _softmin(eps, Ce_xx, loga, p))
-            q = 0.5 * (q + _softmin(eps, Ce_yy, logb, q))
-            drift = max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
-            f, g = f_new, g_new
-            if idx == len(schedule) - 1 and drift < tol:
+        final = idx == len(schedule) - 1
+        for pr in problems:
+            pr.rebuild(eps)
+        for _ in range(final_iters if final else inner_iters):
+            ru = pair.u / (pair.K @ (b * pair.v))
+            rv = pair.v / (pair.K.T @ (a * pair.u))
+            pair.u, pair.v = np.sqrt(ru), np.sqrt(rv)
+            for pr, w in ((self_x, a), (self_y, b)):
+                pr.u = pr.v = np.sqrt(pr.u / (pr.K @ (w * pr.u)))
+            for pr in problems:
+                if pr.escaped():
+                    pr.rebuild(eps)
+            # the potentials moved by eps*log(sqrt(r))
+            drift = 0.5 * eps * max(np.abs(np.log(ru)).max(), np.abs(np.log(rv)).max())
+            if final and drift < tol:
                 break
-    return f, g, p, q, D_xy, loga, logb
+    return pair, self_x.potentials()[0], self_y.potentials()[0], a, b
 
 
 def ot_distance(X, Y, blur=0.05, scaling=0.5, debiased=True,
@@ -404,16 +337,15 @@ def ot_distance(X, Y, blur=0.05, scaling=0.5, debiased=True,
     if not 0 < scaling < 1:
         raise ValueError(f"scaling must lie in (0, 1), got {scaling}")
     eps = blur * blur
-    f, g, p, q, D_xy, loga, logb = _divergence_potentials(
+    pair, p, q, a, b = _divergence_potentials(
         X, Y, eps, scaling, inner_iters, final_iters, tol)
-    a = np.exp(loga)
-    b = np.exp(logb)
     if debiased:
+        f, g = pair.potentials()
         value = float((f - p) @ a + (g - q) @ b)
         return max(value, 0.0)
-    logP = loga[:, None] + logb[None, :] + (f[:, None] + g[None, :] - D_xy) / eps
-    P = np.exp(logP)
-    return float((P * D_xy).sum() / P.sum())
+    # P_ij = a_i b_j u_i K_ij v_j; the uniform weights cancel in the ratio
+    P = pair.plan()
+    return float((P * pair.C).sum() / P.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ machinery: finite differences instead of the tape, scipy's LP solver instead
 of Sinkhorn, and plain double loops instead of vectorized kernels.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -47,6 +49,34 @@ def lp_transport(cost, a, b):
                   bounds=(0, None), method="highs")
     assert res.status == 0, f"LP failed: {res.message}"
     return res.fun
+
+
+def sinkhorn_log_loop(C, a, b, eps, max_iters, tol):
+    """Plain log-domain Sinkhorn at a fixed eps from zero potentials.
+
+    Columns, then rows, are updated by explicit log-sum-exp loops; the loop
+    stops once every column sum of P_ij = exp((f_i + g_j - C_ij)/eps) is
+    within tol of b. Returns (plan, iterations, converged).
+    """
+    C = np.asarray(C, dtype=np.float64)
+    n, m = C.shape
+    f = [0.0] * n
+    g = [0.0] * m
+
+    def logsumexp(vals):
+        mx = max(vals)
+        return mx + math.log(sum(math.exp(x - mx) for x in vals))
+
+    for it in range(1, max_iters + 1):
+        for j in range(m):
+            g[j] = eps * (math.log(b[j]) - logsumexp([(f[i] - C[i, j]) / eps for i in range(n)]))
+        for i in range(n):
+            f[i] = eps * (math.log(a[i]) - logsumexp([(g[j] - C[i, j]) / eps for j in range(m)]))
+        P = np.array([[math.exp((f[i] + g[j] - C[i, j]) / eps) for j in range(m)]
+                      for i in range(n)])
+        if max(abs(P[:, j].sum() - b[j]) for j in range(m)) < tol:
+            return P, it, True
+    return P, max_iters, False
 
 
 def pairwise_sqdist_loop(X, Y):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from snapflow import otcore
 
-from oracles import lp_transport, pairwise_sqdist_loop
+from oracles import lp_transport, pairwise_sqdist_loop, sinkhorn_log_loop
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,22 @@ def test_sinkhorn_unconverged_plan_is_rounded_onto_marginals():
     assert out.iterations == 3
 
 
+def test_sinkhorn_matches_log_domain_loop_where_kernel_underflows():
+    # row and column offsets up to 200 put whole rows of exp(-C/eps) below
+    # the smallest double, so only a stabilized solver gets these plans
+    eps, B = 0.05, 24
+    a = np.full(B, 1.0 / B)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        C = (rng.uniform(0, 2, (B, B)) + rng.uniform(0, 150, (B, 1))
+             + rng.uniform(0, 50, (1, B)))
+        assert (np.exp(-C / eps).sum(axis=1) == 0).sum() >= B // 2
+        ref, _, ref_ok = sinkhorn_log_loop(C, a, a, eps, 3000, 1e-10)
+        out = otcore.sinkhorn(C, epsilon=eps, max_iters=3000, tol=1e-10)
+        assert out.converged == ref_ok
+        assert np.abs(out.plan - ref).sum() < 1e-8
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 64),
@@ -238,9 +254,14 @@ def test_ot_distance_shift_monotone():
 
 def test_ot_distance_symmetric_nonnegative():
     rng = np.random.default_rng(13)
-    for _ in range(5):
-        X = rng.normal(size=(20, 3))
-        Y = rng.normal(size=(25, 3)) + 0.5
+    clouds = [(rng.normal(size=(20, 3)), rng.normal(size=(25, 3)) + 0.5)
+              for _ in range(5)]
+    # evaluation scale: 300 cells x 10 genes, spread about 0.1 around
+    # gene means of order 1
+    mu = 2.0 * rng.normal(size=10)
+    clouds.append((mu + 0.07 * rng.normal(size=(300, 10)),
+                   0.95 * mu + 0.15 * rng.normal(size=(300, 10))))
+    for X, Y in clouds:
         d_xy = otcore.ot_distance(X, Y)
         d_yx = otcore.ot_distance(Y, X)
         assert d_xy >= 0
