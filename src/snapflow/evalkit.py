@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import latentvae
+from . import latentvae, ndtensor as nd
 from .flowfield import integrate
 from .otcore import ot_distance, pairwise_sqdist
 
@@ -57,17 +57,18 @@ def predict(model, dataset, query_times, n_cells, seed, ode_method="rk4",
     rng = np.random.default_rng(seed)
     X0 = dataset.matrices[0]
     rows = rng.choice(X0.shape[0], size=n_cells, replace=X0.shape[0] < n_cells)
-    _, _, z0 = latentvae.encode_np(model.vae, X0[rows], rng=rng)
-    roll = integrate(model.forward_field, z0, t0, query_times,
-                     method=ode_method, step=ode_step)
     out = []
-    for t, z in zip(query_times, roll.states):
-        cells = latentvae.decode_np(model.vae, z)
-        out.append(PredictionSet(
-            time=float(t), cells=cells,
-            provenance={"n_cells": n_cells, "seed": seed,
-                        "integrator": {"method": ode_method, "step": ode_step},
-                        "source_time": t0}))
+    with nd.no_grad():
+        _, _, z0 = latentvae.encode(model.vae, X0[rows], rng=rng)
+        roll = integrate(model.forward_field, z0.data, t0, query_times,
+                         method=ode_method, step=ode_step)
+        for t, z in zip(query_times, roll.states):
+            cells = latentvae.decode(model.vae, z).data
+            out.append(PredictionSet(
+                time=float(t), cells=cells,
+                provenance={"n_cells": n_cells, "seed": seed,
+                            "integrator": {"method": ode_method, "step": ode_step},
+                            "source_time": t0}))
     return out
 
 

@@ -105,7 +105,8 @@ def init_field(direction, latent_dim, hidden, embedding, rng):
 def eval_field(params, t, Z):
     """Velocity batch for latents Z at time t (scalar, or one time per row).
 
-    Differentiable w.r.t. the field parameters and Z.
+    Differentiable w.r.t. the field parameters and Z; inference runs it
+    under ``nd.no_grad()``.
     """
     Z = Z if isinstance(Z, Tensor) else nd.constant(np.asarray(Z, dtype=np.float64))
     if Z.data.ndim != 2 or Z.shape[1] != params.latent_dim:
@@ -117,23 +118,12 @@ def eval_field(params, t, Z):
         raise nd.ShapeError("eval_field", (emb.shape[0],), (Z.shape[0],))
     x = nd.concat([Z, nd.constant(emb)], axis=-1)
     h = nd.leaky_relu(nd.add(nd.matmul(x, params.w1), params.b1), LEAK)
-    h = nd.leaky_relu(nd.add(nd.matmul(h, params.w2), params.b2), LEAK)
+    # rebind h before the activation: under no_grad this frees layer 1's
+    # output before layer 2's activation allocates its temporaries
+    h = nd.add(nd.matmul(h, params.w2), params.b2)
+    h = nd.leaky_relu(h, LEAK)
     out = nd.add(nd.matmul(h, params.w3), params.b3)
     return nd.add(out, nd.matmul(Z, params.w_skip))
-
-
-def eval_field_np(params, t, Z):
-    """Pure-numpy twin of eval_field for inference and coupling costs."""
-    Z = np.asarray(Z, dtype=np.float64)
-    emb = params.embedding(t)
-    if emb.ndim == 1:
-        emb = np.tile(emb, (Z.shape[0], 1))
-    x = np.concatenate([Z, emb], axis=-1)
-    h = x @ params.w1.data + params.b1.data
-    h = np.where(h > 0, h, LEAK * h)
-    h = h @ params.w2.data + params.b2.data
-    h = np.where(h > 0, h, LEAK * h)
-    return h @ params.w3.data + params.b3.data + Z @ params.w_skip.data
 
 
 @dataclass
@@ -155,8 +145,13 @@ class Rollout:
 def _field_fn(field, differentiable):
     if callable(field) and not isinstance(field, VelocityFieldParams):
         return field
-    return (lambda t, z: eval_field(field, t, z)) if differentiable \
-        else (lambda t, z: eval_field_np(field, t, z))
+    if differentiable:
+        return lambda t, z: eval_field(field, t, z)
+
+    def infer(t, z):
+        with nd.no_grad():
+            return eval_field(field, t, z).data
+    return infer
 
 
 def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
@@ -165,8 +160,8 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
     ``field`` is a VelocityFieldParams or any callable (t, Z) -> velocity.
     Steps are clipped at segment boundaries so each query time is hit
     exactly. Query times must move monotonically away from t0 (forward
-    fields ascend, backward fields descend). Passing a DiffTensor z0 makes
-    the whole rollout differentiable.
+    fields ascend, backward fields descend). Passing a Tensor z0 makes the
+    whole rollout differentiable; an array z0 records nothing on the tape.
     """
     query_times = np.asarray(query_times, dtype=np.float64)
     if query_times.ndim != 1 or query_times.size == 0:
@@ -183,6 +178,8 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
             raise ValueError("backward field requires sorted query times <= t0")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
 
     differentiable = isinstance(z0, Tensor)
     fn = _field_fn(field, differentiable)
@@ -202,10 +199,8 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
                 k3 = fn(t_cur + h / 2, z + k2 * (h / 2))
                 k4 = fn(t_cur + h, z + k3 * h)
                 z = z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
-            elif method == "euler":
-                z = z + fn(t_cur, z) * h
             else:
-                raise ValueError(f"unknown method {method!r}")
+                z = z + fn(t_cur, z) * h
             t_cur += h
             remaining = t_q - t_cur
             vals = z.data if differentiable else z

@@ -131,24 +131,3 @@ def vae_loss(params, X, lambda_kl, rng=None, sample=True):
     loss, _, _, _ = elbo_terms(params, X, lambda_kl, rng=rng, sample=sample)
     return loss
 
-
-# fast inference paths (no tape) -------------------------------------------
-
-def encode_np(params, X, rng=None, sample=True):
-    X = np.asarray(X, dtype=np.float64)
-    h = X @ params.enc_w1.data + params.enc_b1.data
-    h = np.where(h > 0, h, LEAK * h)
-    mu = h @ params.enc_w_mu.data + params.enc_b_mu.data
-    logsig = np.clip(h @ params.enc_w_ls.data + params.enc_b_ls.data,
-                     LOGSIG_MIN, LOGSIG_MAX)
-    sigma = np.exp(logsig)
-    if not sample:
-        return mu, sigma, mu
-    return mu, sigma, mu + sigma * rng.standard_normal(size=mu.shape)
-
-
-def decode_np(params, Z):
-    Z = np.asarray(Z, dtype=np.float64)
-    h = Z @ params.dec_w1.data + params.dec_b1.data
-    h = np.where(h > 0, h, LEAK * h)
-    return h @ params.dec_w2.data + params.dec_b2.data

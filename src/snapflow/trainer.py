@@ -14,7 +14,7 @@ import numpy as np
 from . import ndtensor as nd
 from . import otcore
 from . import latentvae
-from .flowfield import eval_field, eval_field_np, integrate
+from .flowfield import eval_field, integrate
 from .model import ModelBundle, build_model
 
 
@@ -209,52 +209,27 @@ def _rollout_latents(model, dataset, B, rng, ode_method, ode_step):
     return roll.states
 
 
-def _plan_for(D, epsilon, max_iters, tol):
-    return otcore.sinkhorn(D, epsilon=epsilon, max_iters=max_iters, tol=tol).plan
-
-
-def global_ot_loss(model, dataset, B, eval_epsilon, rng, ode_method="rk4",
-                   ode_step=0.1, sinkhorn_max_iters=500, sinkhorn_tol=1e-6):
-    """Average gene-space transport cost between rollout-generated and
-    observed populations over all training timepoints (coupling held fixed).
+def _transport_term(x, y, config):
+    """Transport cost between two batches under an entropic plan of their
+    squared distances; the plan is held fixed, so gradients flow through
+    the cost alone.
     """
-    if dataset.n_timepoints < 1:
-        raise ValueError("dataset has no timepoints")
-    states = _rollout_latents(model, dataset, B, rng, ode_method, ode_step)
-    terms = None
-    for k, t in enumerate(dataset.times):
-        Xk = dataset.matrices[k]
-        obs = Xk[_sample_rows(rng, Xk.shape[0], B)]
-        pred = latentvae.decode(model.vae, states[k])
-        D = otcore.pairwise_sqdist(obs, pred.data)
-        plan = _plan_for(D, eval_epsilon, sinkhorn_max_iters, sinkhorn_tol)
-        term = otcore.transport_cost_sq(plan, obs, pred)
-        terms = term if terms is None else nd.add(terms, term)
-    return nd.scale(terms, 1.0 / dataset.n_timepoints)
-
-
-def latent_dyn_loss(model, dataset, B, eval_epsilon, rng, ode_method="rk4",
-                    ode_step=0.1, sinkhorn_max_iters=500, sinkhorn_tol=1e-6):
-    """Average latent-space transport cost between encoder latents and
-    ODE-rolled latents over all training timepoints.
-    """
-    if dataset.n_timepoints < 1:
-        raise ValueError("dataset has no timepoints")
-    states = _rollout_latents(model, dataset, B, rng, ode_method, ode_step)
-    terms = None
-    for k, t in enumerate(dataset.times):
-        Xk = dataset.matrices[k]
-        obs = Xk[_sample_rows(rng, Xk.shape[0], B)]
-        _, _, z_enc = latentvae.encode(model.vae, obs, rng=rng)
-        D = otcore.pairwise_sqdist(z_enc.data, states[k].data)
-        plan = _plan_for(D, eval_epsilon, sinkhorn_max_iters, sinkhorn_tol)
-        term = otcore.transport_cost_sq(plan, z_enc, states[k])
-        terms = term if terms is None else nd.add(terms, term)
-    return nd.scale(terms, 1.0 / dataset.n_timepoints)
+    D = otcore.pairwise_sqdist(nd.as_tensor(x).data, y.data)
+    plan = otcore.sinkhorn(D, epsilon=config.epsilon,
+                           max_iters=config.sinkhorn_max_iters,
+                           tol=config.sinkhorn_tol).plan
+    return otcore.transport_cost_sq(plan, x, y)
 
 
 def _fused_global_terms(model, dataset, config, rng):
-    """Both global losses from one shared rollout (used inside train_step)."""
+    """Both global losses from one shared rollout of encoded t_0 cells.
+
+    ``l_ot`` is the gene-space transport cost between decoded rollout states
+    and observed cells, ``l_dyn`` the latent-space cost between rollout
+    states and the encoder latents of those cells; each is averaged over
+    all training timepoints. A term whose weight is 0 is skipped (its rng
+    draws included) and returned as None.
+    """
     states = _rollout_latents(model, dataset, config.batch, rng,
                               config.ode_method, config.ode_step)
     ot_terms = None
@@ -264,17 +239,11 @@ def _fused_global_terms(model, dataset, config, rng):
         obs = Xk[_sample_rows(rng, Xk.shape[0], config.batch)]
         if config.lambda_ot > 0:
             pred = latentvae.decode(model.vae, states[k])
-            D = otcore.pairwise_sqdist(obs, pred.data)
-            plan = _plan_for(D, config.epsilon, config.sinkhorn_max_iters,
-                             config.sinkhorn_tol)
-            term = otcore.transport_cost_sq(plan, obs, pred)
+            term = _transport_term(obs, pred, config)
             ot_terms = term if ot_terms is None else nd.add(ot_terms, term)
         if config.lambda_dyn > 0:
             _, _, z_enc = latentvae.encode(model.vae, obs, rng=rng)
-            D = otcore.pairwise_sqdist(z_enc.data, states[k].data)
-            plan = _plan_for(D, config.epsilon, config.sinkhorn_max_iters,
-                             config.sinkhorn_tol)
-            term = otcore.transport_cost_sq(plan, z_enc, states[k])
+            term = _transport_term(z_enc, states[k], config)
             dyn_terms = term if dyn_terms is None else nd.add(dyn_terms, term)
     scale = 1.0 / dataset.n_timepoints
     l_ot = nd.scale(ot_terms, scale) if ot_terms is not None else None
@@ -310,9 +279,10 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
     if warmup:
         C = otcore.cost_euclidean(Za.data, Zb.data)
     else:
-        fwd = lambda t, Z: eval_field_np(model.forward_field, t, Z)
-        bwd = lambda t, Z: eval_field_np(model.backward_field, t, Z)
-        C = otcore.cost_bidirectional(Za.data, Zb.data, fwd, bwd, t_a, t_b)
+        fwd = lambda t, Z: eval_field(model.forward_field, t, Z).data
+        bwd = lambda t, Z: eval_field(model.backward_field, t, Z).data
+        with nd.no_grad():
+            C = otcore.cost_bidirectional(Za.data, Zb.data, fwd, bwd, t_a, t_b)
     pi = otcore.sinkhorn(C, epsilon=config.epsilon,
                          max_iters=config.sinkhorn_max_iters,
                          tol=config.sinkhorn_tol)

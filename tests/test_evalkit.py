@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from snapflow import datakit, evalkit, latentvae
+from snapflow import datakit, evalkit, latentvae, ndtensor as nd
 from snapflow.evalkit import (EvalConfig, MetricReport, PredictionSet,
                               emit_projection, evaluate, l2_metric,
                               naive_baseline, predict)
+from snapflow.flowfield import integrate
 
 from oracles import avg_pairwise_l2_loop
 
@@ -83,8 +84,20 @@ def test_predict_at_t0_is_encode_decode_of_sources(quick_drift):
     rng = np.random.default_rng(5)
     X0 = train.matrices[0]
     rows = rng.choice(X0.shape[0], size=12, replace=False)
-    _, _, z0 = latentvae.encode_np(model.vae, X0[rows], rng=rng)
-    assert np.array_equal(out.cells, latentvae.decode_np(model.vae, z0))
+    with nd.no_grad():
+        _, _, z0 = latentvae.encode(model.vae, X0[rows], rng=rng)
+        assert np.array_equal(out.cells, latentvae.decode(model.vae, z0).data)
+
+
+def test_inference_records_nothing_on_the_tape(quick_drift):
+    model, train = quick_drift["model"], quick_drift["train"]
+    nd.reset_tape()
+    predict(model, train, [0.0, 2.5], n_cells=10, seed=2)
+    assert not nd.active_tape().nodes
+    z0 = np.random.default_rng(3).normal(size=(6, model.forward_field.latent_dim))
+    roll = integrate(model.forward_field, z0, 0.0, [1.0, 2.0], step=0.5)
+    assert isinstance(roll.states[-1], np.ndarray)
+    assert not nd.active_tape().nodes
 
 
 def test_predict_seed_determinism(quick_drift):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snapflow import flowfield, ndtensor as nd
-from snapflow.flowfield import TimeEmbedding, init_field, eval_field, eval_field_np, integrate
+from snapflow.flowfield import TimeEmbedding, init_field, eval_field, integrate
 
 from oracles import central_diff_grad, rel_err
 
@@ -53,23 +53,32 @@ def test_embedding_validation():
 def test_field_zero_at_init(emb):
     f = init_field("forward", 3, 12, emb, np.random.default_rng(5))
     Z = np.random.default_rng(6).normal(size=(4, 3))
-    assert np.all(eval_field_np(f, 0.5, Z) == 0.0)
+    with nd.no_grad():
+        assert np.all(eval_field(f, 0.5, Z).data == 0.0)
 
 
 def test_field_permutation_equivariance(fwd):
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(6, 3))
     perm = rng.permutation(6)
-    V = eval_field_np(fwd, 1.3, Z)
-    Vp = eval_field_np(fwd, 1.3, Z[perm])
+    with nd.no_grad():
+        V = eval_field(fwd, 1.3, Z).data
+        Vp = eval_field(fwd, 1.3, Z[perm]).data
     assert np.allclose(V[perm], Vp)
 
 
-def test_field_tensor_and_np_paths_agree(fwd):
+def test_field_no_grad_path_matches_tape_path(fwd):
     Z = np.random.default_rng(8).normal(size=(5, 3))
-    out_t = eval_field(fwd, 2.0, Z)
-    assert np.array_equal(out_t.data, eval_field_np(fwd, 2.0, Z))
+    times = np.linspace(0.0, 7.0, 5)
     nd.reset_tape()
+    taped = [eval_field(fwd, 2.0, Z).data, eval_field(fwd, times, Z).data]
+    assert nd.active_tape().nodes
+    nd.reset_tape()
+    with nd.no_grad():
+        inferred = [eval_field(fwd, 2.0, Z).data, eval_field(fwd, times, Z).data]
+    assert not nd.active_tape().nodes
+    for a, b in zip(taped, inferred):
+        assert np.array_equal(a, b)
 
 
 def test_field_gradient_wrt_z(fwd):
@@ -87,7 +96,7 @@ def test_field_gradient_wrt_z(fwd):
 
 def test_field_shape_check(fwd):
     with pytest.raises(nd.ShapeError):
-        eval_field_np(fwd, 0.0, np.ones((2, 4))) if False else eval_field(fwd, 0.0, np.ones((2, 4)))
+        eval_field(fwd, 0.0, np.ones((2, 4)))
 
 
 def test_integrate_zero_field():
@@ -162,6 +171,9 @@ def test_integrate_ordering_validation(fwd, emb):
         integrate(bwd, z0, 0.0, [1.0])
     roll = integrate(bwd, z0, 1.0, [0.5, 0.0])
     assert len(roll.states) == 2
+    # the method is checked even when no step is taken
+    with pytest.raises(ValueError):
+        integrate(lambda t, z: z, z0, 0.0, [0.0], method="rk5")
 
 
 def test_integrate_blowup_reports_time():

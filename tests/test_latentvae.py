@@ -136,13 +136,19 @@ def test_training_improves_reconstruction_10x():
     assert after * 10 <= before
 
 
-def test_np_paths_match_tensor_paths(small_vae):
+def test_no_grad_paths_match_tape_paths(small_vae):
     X = np.random.default_rng(14).normal(size=(5, 6))
-    mu_t, sig_t, _ = latentvae.encode(small_vae, X, sample=False)
-    mu_n, sig_n, z_n = latentvae.encode_np(small_vae, X, sample=False)
-    assert np.array_equal(mu_t.data, mu_n)
-    assert np.array_equal(sig_t.data, sig_n)
-    dec_t = latentvae.decode(small_vae, z_n)
-    dec_n = latentvae.decode_np(small_vae, z_n)
-    assert np.array_equal(dec_t.data, dec_n)
+
+    def run():
+        enc = latentvae.encode(small_vae, X, rng=np.random.default_rng(15))
+        return [t.data for t in enc] + [latentvae.decode(small_vae, enc[2].data).data]
+
     nd.reset_tape()
+    taped = run()
+    assert nd.active_tape().nodes
+    nd.reset_tape()
+    with nd.no_grad():
+        inferred = run()
+    assert not nd.active_tape().nodes
+    for a, b in zip(taped, inferred):
+        assert np.array_equal(a, b)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snapflow import datakit, latentvae, ndtensor as nd, otcore, trainer
-from snapflow.flowfield import TimeEmbedding, eval_field_np, init_field
+from snapflow.flowfield import TimeEmbedding, eval_field, init_field
 from snapflow.model import ModelBundle, build_model
 
 from helpers import make_identity_vae
@@ -110,7 +110,8 @@ def test_fm_loss_topk_full_k_matches_dense_oracle():
     w = pi.plan[i_idx, j_idx]
     total = 0.0
     for fld in (fwd, bwd):
-        V = eval_field_np(fld, t_alpha, z_alpha)
+        with nd.no_grad():
+            V = eval_field(fld, t_alpha, z_alpha).data
         total += float((w * np.sum((V - u) ** 2, axis=1)).sum())
     expected = total / pi.plan.sum()
     assert abs(float(loss.data) - expected) < 1e-10
@@ -189,19 +190,20 @@ def test_global_ot_loss_identity_autoencoder_near_zero():
     ds = datakit.SnapshotDataset(times=np.array([0.0]), matrices=[X],
                                  gene_names=[f"g{i}" for i in range(4)])
     model = identity_model(4)
-    loss = trainer.global_ot_loss(model, ds, B=24, eval_epsilon=0.05,
-                                  rng=np.random.default_rng(1))
+    cfg = trainer.TrainConfig(batch=24, epsilon=0.05, lambda_dyn=0.0)
+    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(1))
+    assert l_dyn is None
     assert 0.0 <= float(loss.data) < 5 * 0.05
     nd.reset_tape()
 
 
 def test_global_ot_loss_positive_for_untrained_model_on_shifted_data():
     ds = tiny_dataset(seed=2, timepoints=3)
-    cfg = tiny_config()
+    cfg = tiny_config(batch=16, epsilon=0.05, lambda_dyn=0.0)
     model = build_model(ds.gene_dim, latent_dim=3, vae_hidden=16,
                         field_hidden=16, time_dim=8, t_min=0.0, t_max=2.0, seed=3)
-    loss = trainer.global_ot_loss(model, ds, B=16, eval_epsilon=0.05,
-                                  rng=np.random.default_rng(4))
+    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(4))
+    assert l_dyn is None
     assert float(loss.data) > 0.1
     nd.reset_tape()
 
@@ -214,8 +216,9 @@ def test_latent_dyn_loss_identity_near_zero_and_grows_with_gap():
     def dyn_for(times, mats):
         ds = datakit.SnapshotDataset(times=np.array(times), matrices=mats,
                                      gene_names=["a", "b", "c"])
-        val = trainer.latent_dyn_loss(model, ds, B=20, eval_epsilon=0.05,
-                                      rng=np.random.default_rng(5))
+        cfg = trainer.TrainConfig(batch=20, epsilon=0.05, lambda_ot=0.0)
+        l_ot, val = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(5))
+        assert l_ot is None
         nd.reset_tape()
         return float(val.data)
 
@@ -312,7 +315,8 @@ def test_fit_zero_steps_keeps_fields_at_init():
     cfg = tiny_config(max_steps=0, vae_epochs=5)
     model, log = trainer.fit(ds, cfg)
     Z = np.random.default_rng(1).normal(size=(4, cfg.latent_dim))
-    assert np.all(eval_field_np(model.forward_field, 0.5, Z) == 0.0)
+    with nd.no_grad():
+        assert np.all(eval_field(model.forward_field, 0.5, Z).data == 0.0)
     assert len(log.records) == 0
     assert not log.converged
 
