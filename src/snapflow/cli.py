@@ -12,22 +12,14 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datakit, evalkit, trainer
+from . import __version__, datakit, evalkit, ndtensor as nd, trainer
 from .model import ModelBundle
-
-
-def _write_json_atomic(path, blob):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def _manifest(out_dir, command, seed, config, data_path=None, provenance=None,
@@ -40,12 +32,12 @@ def _manifest(out_dir, command, seed, config, data_path=None, provenance=None,
         "data_provenance": provenance or {},
         "checkpoint_paths": [str(p) for p in checkpoints],
         "versions": {"snapflow": __version__, "numpy": np.__version__,
-                     "checkpoint_format": 1},
+                     "checkpoint_format": nd.CHECKPOINT_VERSION},
         "wall_clock_seconds": None if started is None else time.time() - started,
     }
     if extra:
         blob.update(extra)
-    _write_json_atomic(Path(out_dir) / "manifest.json", blob)
+    datakit.write_json_atomic(Path(out_dir) / "manifest.json", blob)
 
 
 def _load_aligned(data_path, meta):
@@ -83,7 +75,7 @@ def cmd_synth(args):
     ds = datakit.synth_generate(spec)
     data_path = out / "data.csv"
     datakit.save_csv(ds, data_path)
-    _write_json_atomic(out / "provenance.json", ds.provenance)
+    datakit.write_json_atomic(out / "provenance.json", ds.provenance)
     _manifest(out, "synth", spec.seed, spec.__dict__, data_path=data_path,
               provenance=ds.provenance.get("generator", {}).get("spec"),
               started=started)
@@ -109,7 +101,7 @@ def cmd_train(args):
         interp, extrap = datakit.HoldoutSplit.request_from_json(args.split)
         ds, _ = datakit.split_holdout(ds, interp, extrap)
         split_info = {"interp": interp, "extrap": extrap}
-    model, log = trainer.fit(ds, config, checkpoint_dir=str(out))
+    model, log = trainer.fit(ds, config)
     ckpt_path = out / "checkpoint.json"
     model.save(ckpt_path, extra_meta={"preprocess": config.preprocess,
                                       "hvg": config.hvg})

@@ -1,12 +1,13 @@
 """Snapshot datasets: CSV ingestion, count preprocessing (library-size
-normalization, log1p, HVG selection), holdout splitting, and seeded
-synthetic benchmark generators.
+normalization, log1p, HVG selection), holdout splitting, seeded synthetic
+benchmark generators, and the JSON and record-CSV writers of run outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -114,6 +115,29 @@ def save_csv(ds, path):
         for t, M in zip(ds.times, ds.matrices):
             for row in M:
                 writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+
+
+def write_records_csv(path, columns, records):
+    """One CSV row per dict record, in column order: floats by repr (exact
+    round trip), a missing or None value as an empty cell."""
+    def cell(v):
+        if v is None:
+            return ""
+        return repr(v) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)]
+    lines += [",".join(cell(rec.get(c)) for c in columns) for rec in records]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json_atomic(path, blob):
+    """Indented, key-sorted JSON, written to a temporary file and renamed
+    into place so a reader never sees a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def preprocess(ds, target_hvg):

@@ -6,12 +6,12 @@ emission for plotting.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import latentvae, ndtensor as nd
+from .datakit import split_holdout, write_json_atomic, write_records_csv
 from .flowfield import integrate
 from .otcore import ot_distance, pairwise_sqdist
 
@@ -19,8 +19,6 @@ from .otcore import ot_distance, pairwise_sqdist
 @dataclass
 class EvalConfig:
     blur: float = 0.05
-    scaling: float = 0.5
-    debiased: bool = True
     n_max: int = 1000
     seed: int = 0
     ode_method: str = "rk4"
@@ -51,6 +49,8 @@ def predict(model, dataset, query_times, n_cells, seed, ode_method="rk4",
     if n_cells < 1:
         raise ValueError(f"n_cells must be positive, got {n_cells}")
     query_times = sorted(float(t) for t in query_times)
+    if not query_times:
+        raise ValueError("query_times must list at least one time")
     t0 = float(dataset.times[0])
     if query_times[0] < t0 - 1e-9:
         raise ValueError(f"query time {query_times[0]} precedes t_0={t0}")
@@ -118,18 +118,11 @@ class MetricReport:
         return self
 
     def to_csv(self, path):
-        lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            cells = [repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                     for c in self.COLUMNS]
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_records_csv(path, self.COLUMNS, self.rows)
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"rows": self.rows, "summary": self.summary,
-                       "config": self.config}, fh, indent=2, sort_keys=True)
+        write_json_atomic(path, {"rows": self.rows, "summary": self.summary,
+                                 "config": self.config})
 
 
 def evaluate(model, dataset, split, config=None, train_ds=None, predict_fn=None):
@@ -143,7 +136,6 @@ def evaluate(model, dataset, split, config=None, train_ds=None, predict_fn=None)
     if len(split.interp_times) + len(split.extrap_times) == 0:
         raise ValueError("split contains no holdouts")
     if train_ds is None:
-        from .datakit import split_holdout
         train_ds, _ = split_holdout(dataset, split.interp_times, split.extrap_times)
     if predict_fn is None:
         def predict_fn(model, ds, times, n_cells, seed):
@@ -161,14 +153,10 @@ def evaluate(model, dataset, split, config=None, train_ds=None, predict_fn=None)
         report.rows.append({
             "time": t,
             "task": task,
-            "wasserstein": float(ot_distance(truth, pred_cells, blur=config.blur,
-                                             scaling=config.scaling,
-                                             debiased=config.debiased)),
+            "wasserstein": float(ot_distance(truth, pred_cells, blur=config.blur)),
             "l2": l2_metric(truth, pred_cells),
             "naive_wasserstein": float(ot_distance(truth, naive.cells,
-                                                   blur=config.blur,
-                                                   scaling=config.scaling,
-                                                   debiased=config.debiased)),
+                                                   blur=config.blur)),
             "naive_l2": l2_metric(truth, naive.cells),
             "n_true": int(truth.shape[0]),
             "n_pred": int(pred_cells.shape[0]),

@@ -1,8 +1,8 @@
 """Entropic optimal transport: pairwise costs, Sinkhorn, Top-K truncation of
 couplings, and a debiased Sinkhorn distance for evaluation.
 
-Both solvers share one scaling-domain engine with absorption and
-epsilon-scaling (Schmitzer 2019, arXiv:1610.06519): matrix-vector
+Both solvers share one scaling-domain engine with absorption and one
+epsilon-scaling schedule (Schmitzer 2019, arXiv:1610.06519): matrix-vector
 iterations on a kernel that carries the dual potentials, which are
 re-absorbed into it whenever the scalings grow. All solvers run on plain
 numpy; couplings are treated as constants by the training losses, so
@@ -108,15 +108,17 @@ def cost_bidirectional(Za, Zb, forward_field, backward_field, t_a, t_b):
 # ---------------------------------------------------------------------------
 
 _TAU = 1e3  # scalings leaving [1/_TAU, _TAU] are absorbed into the potentials
+_STAGE_ITERS = 5  # iterations at each annealing stage before the target epsilon
 
 
-def _epsilon_schedule(d_max, eps_target, scaling):
-    """Geometric annealing from the cost's own scale down to the target."""
+def _epsilon_schedule(d_max, eps_target):
+    """Geometric annealing, by a factor 1/4 per stage, from the cost's own
+    scale down to the target (Schmitzer 2019)."""
     eps_list = []
     eps = max(d_max, eps_target)
     while eps > eps_target * 1.0000001:
         eps_list.append(eps)
-        eps *= scaling * scaling
+        eps *= 0.25
     eps_list.append(eps_target)
     return eps_list
 
@@ -178,13 +180,13 @@ def _sinkhorn_scaled(C, a, b, eps, max_iters, tol):
     are those of plain Sinkhorn at ``eps``.
     """
     pr = _ScaledKernel(C)
-    schedule = _epsilon_schedule(float(C.max()), eps, 0.5)
+    schedule = _epsilon_schedule(float(C.max()), eps)
     for stage, e in enumerate(schedule):
         final = stage == len(schedule) - 1
         pr.rebuild(e)
         Ktu = pr.K.T @ pr.u
         it = 0
-        while it < (max_iters if final else 5):
+        while it < (max_iters if final else _STAGE_ITERS):
             it += 1
             pr.v = b / Ktu
             pr.u = a / (pr.K @ pr.v)
@@ -278,9 +280,11 @@ def topk_truncate(pi, K):
 # Evaluation distance
 # ---------------------------------------------------------------------------
 
-def _divergence_potentials(X, Y, eps_target, scaling, inner_iters, final_iters, tol):
+def _divergence_potentials(X, Y, eps_target):
     """Annealed averaged-Jacobi Sinkhorn for the pair and both self problems,
-    in the weighted convention P_ij = a_i b_j exp((f_i + g_j - C_ij)/eps).
+    in the weighted convention P_ij = a_i b_j exp((f_i + g_j - C_ij)/eps):
+    5 iterations at each stage of the epsilon schedule, then up to 300 at
+    ``eps_target``, stopping once the potentials move by less than 1e-7.
 
     In scaling form the averaged potential update f <- (f + softmin(g))/2
     reads u <- sqrt(u / K(b*v)), and likewise for v and for the self
@@ -297,12 +301,12 @@ def _divergence_potentials(X, Y, eps_target, scaling, inner_iters, final_iters, 
     self_y = _ScaledKernel(pairwise_sqdist(Y, Y))
     problems = (pair, self_x, self_y)
     d_max = max(float(pr.C.max()) for pr in problems)
-    schedule = _epsilon_schedule(d_max, eps_target, scaling)
+    schedule = _epsilon_schedule(d_max, eps_target)
     for idx, eps in enumerate(schedule):
         final = idx == len(schedule) - 1
         for pr in problems:
             pr.rebuild(eps)
-        for _ in range(final_iters if final else inner_iters):
+        for _ in range(300 if final else _STAGE_ITERS):
             ru = pair.u / (pair.K @ (b * pair.v))
             rv = pair.v / (pair.K.T @ (a * pair.u))
             pair.u, pair.v = np.sqrt(ru), np.sqrt(rv)
@@ -313,20 +317,19 @@ def _divergence_potentials(X, Y, eps_target, scaling, inner_iters, final_iters, 
                     pr.rebuild(eps)
             # the potentials moved by eps*log(sqrt(r))
             drift = 0.5 * eps * max(np.abs(np.log(ru)).max(), np.abs(np.log(rv)).max())
-            if final and drift < tol:
+            if final and drift < 1e-7:
                 break
     return pair, self_x.potentials()[0], self_y.potentials()[0], a, b
 
 
-def ot_distance(X, Y, blur=0.05, scaling=0.5, debiased=True,
-                inner_iters=5, final_iters=300, tol=1e-7):
-    """Entropic OT cost between point clouds with squared-Euclidean ground cost.
+def ot_distance(X, Y, blur=0.05):
+    """Debiased Sinkhorn divergence between point clouds with squared-Euclidean
+    ground cost (Feydy et al. 2019, arXiv:1810.08278).
 
-    epsilon = blur**2; ``scaling`` controls the geometric epsilon-annealing
-    schedule from the cost's max scale down to blur**2. The debiased variant
-    is computed from the dual potentials of the pair problem minus the
-    symmetric self problems; it vanishes for identical clouds and is
-    symmetric and nonnegative. The plain variant returns <P, D>.
+    epsilon = blur**2, reached by geometric epsilon-annealing from the cost's
+    max scale. The value is computed from the dual potentials of the pair
+    problem minus the symmetric self problems; it vanishes for identical
+    clouds and is symmetric and nonnegative.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -334,18 +337,10 @@ def ot_distance(X, Y, blur=0.05, scaling=0.5, debiased=True,
         raise ValueError("ot_distance requires nonempty point sets")
     if X.shape[1] != Y.shape[1]:
         raise CostError(f"feature dims differ: {X.shape[1]} vs {Y.shape[1]}")
-    if not 0 < scaling < 1:
-        raise ValueError(f"scaling must lie in (0, 1), got {scaling}")
-    eps = blur * blur
-    pair, p, q, a, b = _divergence_potentials(
-        X, Y, eps, scaling, inner_iters, final_iters, tol)
-    if debiased:
-        f, g = pair.potentials()
-        value = float((f - p) @ a + (g - q) @ b)
-        return max(value, 0.0)
-    # P_ij = a_i b_j u_i K_ij v_j; the uniform weights cancel in the ratio
-    P = pair.plan()
-    return float((P * pair.C).sum() / P.sum())
+    pair, p, q, a, b = _divergence_potentials(X, Y, blur * blur)
+    f, g = pair.potentials()
+    value = float((f - p) @ a + (g - q) @ b)
+    return max(value, 0.0)
 
 
 # ---------------------------------------------------------------------------

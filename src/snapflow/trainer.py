@@ -6,7 +6,6 @@ global distribution losses.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, asdict, fields as dc_fields
 
 import numpy as np
@@ -14,6 +13,7 @@ import numpy as np
 from . import ndtensor as nd
 from . import otcore
 from . import latentvae
+from .datakit import write_json_atomic, write_records_csv
 from .flowfield import eval_field, integrate
 from .model import ModelBundle, build_model
 
@@ -49,7 +49,6 @@ class TrainConfig:
     k_ot: int = 10
     top_k: int = 5
     batch: int = 128
-    alpha_samples: int = 1
     # loss weights
     lambda_kl: float = 1e-3
     lambda_fm: float = 1.0
@@ -75,9 +74,6 @@ class TrainConfig:
     # data handling
     preprocess: bool = False
     hvg: int = 2000
-    # bookkeeping
-    checkpoint_every: int = 0
-    log_walltime: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -89,8 +85,12 @@ class TrainConfig:
         for name in ("lambda_kl", "lambda_fm", "lambda_ot", "lambda_dyn"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.lr <= 0 or self.max_steps < 0 or self.alpha_samples < 1:
-            raise ValueError("need lr > 0, max_steps >= 0, alpha_samples >= 1")
+        if self.lr <= 0 or self.max_steps < 0:
+            raise ValueError("need lr > 0 and max_steps >= 0")
+        if self.patience < 1 or self.patience_window < 1:
+            raise ValueError("need patience >= 1 and patience_window >= 1")
+        if self.vae_epochs < 0 or self.vae_batch < 1 or self.vae_patience < 1:
+            raise ValueError("need vae_epochs >= 0, vae_batch >= 1 and vae_patience >= 1")
         if self.ode_method not in ("euler", "rk4"):
             raise ValueError(f"unknown ode_method {self.ode_method!r}")
         if self.ode_step <= 0 or self.sinkhorn_tol <= 0 or self.sinkhorn_max_iters < 1:
@@ -102,8 +102,7 @@ class TrainConfig:
         return asdict(self)
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        write_json_atomic(path, self.to_dict())
 
     @staticmethod
     def from_json(path):
@@ -128,24 +127,12 @@ class TrainLog:
     rollout_count: int = 0
     phase1_epochs: int = 0
 
+    # "seconds" is always 0.0: wall time would make the log nondeterministic
     CSV_COLUMNS = ("step", "phase", "l_vae", "l_fm", "l_ot", "l_dyn",
                    "total", "retained_mass", "seconds")
 
     def to_csv(self, path):
-        lines = [",".join(self.CSV_COLUMNS)]
-        for rec in self.records:
-            cells = []
-            for col in self.CSV_COLUMNS:
-                v = rec.get(col)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_records_csv(path, self.CSV_COLUMNS, self.records)
 
 
 def _sample_rows(rng, n, size):
@@ -157,8 +144,7 @@ def _sample_rows(rng, n, size):
 # flow-matching loss
 # ---------------------------------------------------------------------------
 
-def fm_loss_topk(coupling, Za, Zb, t_a, t_b, forward_field, backward_field,
-                 alpha_samples, rng):
+def fm_loss_topk(coupling, Za, Zb, t_a, t_b, forward_field, backward_field, rng):
     """Coupling-weighted regression of both fields onto bridge velocities.
 
     For each retained pair (i, j) and a fresh alpha ~ U[0,1], the bridge
@@ -182,17 +168,16 @@ def fm_loss_topk(coupling, Za, Zb, t_a, t_b, forward_field, backward_field,
     za = Za[i_idx]
     zb = Zb[j_idx]
     u = nd.constant((zb - za) / (t_b - t_a))
+    alpha = rng.uniform(size=(B * K, 1))
+    z_alpha = nd.constant((1.0 - alpha) * za + alpha * zb)
+    t_alpha = (1.0 - alpha[:, 0]) * t_a + alpha[:, 0] * t_b
     total = None
-    for _ in range(alpha_samples):
-        alpha = rng.uniform(size=(B * K, 1))
-        z_alpha = nd.constant((1.0 - alpha) * za + alpha * zb)
-        t_alpha = (1.0 - alpha[:, 0]) * t_a + alpha[:, 0] * t_b
-        for fld in (forward_field, backward_field):
-            V = eval_field(fld, t_alpha, z_alpha)
-            sq = nd.tsum(nd.square(nd.sub(V, u)), axis=1)
-            term = nd.tsum(nd.mul(sq, w))
-            total = term if total is None else nd.add(total, term)
-    return nd.scale(total, 1.0 / (coupling.mass * alpha_samples))
+    for fld in (forward_field, backward_field):
+        V = eval_field(fld, t_alpha, z_alpha)
+        sq = nd.tsum(nd.square(nd.sub(V, u)), axis=1)
+        term = nd.tsum(nd.mul(sq, w))
+        total = term if total is None else nd.add(total, term)
+    return nd.scale(total, 1.0 / coupling.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +245,6 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
     global losses, and a single optimizer update. Appends and returns the
     step record.
     """
-    t0_wall = time.perf_counter()
     n_pairs = dataset.n_timepoints - 1
     pair = int(rng.integers(0, n_pairs))
     t_a, t_b = float(dataset.times[pair]), float(dataset.times[pair + 1])
@@ -289,7 +273,7 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
     top = otcore.topk_truncate(pi, config.top_k)
 
     l_fm = fm_loss_topk(top, Za, Zb, t_a, t_b, model.forward_field,
-                        model.backward_field, config.alpha_samples, rng)
+                        model.backward_field, rng)
     total = nd.add(l_vae, nd.scale(l_fm, config.lambda_fm))
 
     l_ot = l_dyn = None
@@ -323,8 +307,6 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
     if config.freeze_vae:
         for p in model.vae_parameters():
             p.grad = None
-    if config.log_walltime:
-        record["seconds"] = time.perf_counter() - t0_wall
     log.records.append(record)
     return record
 
@@ -362,7 +344,7 @@ def pretrain_vae(model, dataset, config, rng, log):
     return log.phase1_epochs
 
 
-def fit(dataset, config, checkpoint_dir=None):
+def fit(dataset, config):
     """Run Phase I then Phase II on the training dataset.
 
     Phase II stops at max_steps or earlier when the moving-average total
@@ -394,9 +376,6 @@ def fit(dataset, config, checkpoint_dir=None):
     for s in range(1, config.max_steps + 1):
         record = train_step(model, dataset, config, s, rng, opt, log)
         current_window.append(record["total"])
-        if checkpoint_dir and config.checkpoint_every and s % config.checkpoint_every == 0:
-            model.save(f"{checkpoint_dir}/checkpoint_{s:06d}.json",
-                       extra_meta={"step": s})
         if len(current_window) == config.patience_window:
             mean = float(np.mean(current_window))
             current_window = []

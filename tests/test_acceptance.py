@@ -136,7 +136,7 @@ def test_criterion_01_gradient_correctness():
                 return alpha
 
         def loss():
-            return trainer.fm_loss_topk(top, Za, Zb, 0.3, 1.7, fwd, bwd, 1, A())
+            return trainer.fm_loss_topk(top, Za, Zb, 0.3, 1.7, fwd, bwd, A())
 
         nd.backward(loss())
         params = fwd.parameters() + bwd.parameters()
@@ -232,7 +232,7 @@ def test_criterion_04_topk_tightness():
         for fld in (fwd, bwd):
             fld.w3.data[:] = 0.3 * rng.normal(size=fld.w3.shape)
         seed = int(rng.integers(1 << 30))
-        loss = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd, 1,
+        loss = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd,
                                     np.random.default_rng(seed))
         nd.reset_tape()
         # dense oracle over all B^2 pairs with the identical alpha stream

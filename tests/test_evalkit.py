@@ -114,6 +114,8 @@ def test_predict_validation(quick_drift):
         predict(model, train, [-0.5], n_cells=5, seed=0)
     with pytest.raises(ValueError):
         predict(model, train, [1.0], n_cells=0, seed=0)
+    with pytest.raises(ValueError):
+        predict(model, train, [], n_cells=5, seed=0)
 
 
 def test_predict_unobserved_time_interpolates_generator_means(quick_drift):

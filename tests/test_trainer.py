@@ -43,6 +43,10 @@ def test_config_validation():
         trainer.TrainConfig(lambda_ot=-0.1)
     with pytest.raises(ValueError):
         trainer.TrainConfig(ode_method="heun")
+    for bad in (dict(vae_batch=-4), dict(vae_batch=0), dict(vae_epochs=-1),
+                dict(vae_patience=0), dict(patience=0), dict(patience_window=0)):
+        with pytest.raises(ValueError):
+            trainer.TrainConfig(**bad)
 
 
 def test_config_json_round_trip_is_strict(tmp_path):
@@ -78,7 +82,7 @@ def test_fm_loss_zero_for_identical_endpoints():
     emb = TimeEmbedding(dim=8, t_min=0.0, t_max=1.0)
     fwd = init_field("forward", 3, 8, emb, rng)   # zero output at init
     bwd = init_field("backward", 3, 8, emb, rng)
-    loss = trainer.fm_loss_topk(top, Z, Z, 0.0, 1.0, fwd, bwd, 1,
+    loss = trainer.fm_loss_topk(top, Z, Z, 0.0, 1.0, fwd, bwd,
                                 np.random.default_rng(2))
     assert float(loss.data) == 0.0
     nd.reset_tape()
@@ -95,7 +99,7 @@ def test_fm_loss_topk_full_k_matches_dense_oracle():
     bwd = make_const_field("backward", d, -0.2, emb)
     t_a, t_b = 0.5, 2.0
 
-    loss = trainer.fm_loss_topk(top, Za, Zb, t_a, t_b, fwd, bwd, 1,
+    loss = trainer.fm_loss_topk(top, Za, Zb, t_a, t_b, fwd, bwd,
                                 np.random.default_rng(77))
     nd.reset_tape()
 
@@ -127,7 +131,7 @@ def test_fm_loss_zero_for_perfect_field():
     top = otcore.topk_truncate(plan, 1)
     fwd = make_const_field("forward", 2, drift)
     bwd = make_const_field("backward", 2, drift)
-    loss = trainer.fm_loss_topk(top, Za, Zb, t_a, t_b, fwd, bwd, 2,
+    loss = trainer.fm_loss_topk(top, Za, Zb, t_a, t_b, fwd, bwd,
                                 np.random.default_rng(6))
     assert float(loss.data) < 1e-12
     nd.reset_tape()
@@ -139,7 +143,7 @@ def test_fm_loss_degenerate_coupling():
     fwd = make_const_field("forward", 2, 0.0)
     with pytest.raises(trainer.DegenerateCouplingError):
         trainer.fm_loss_topk(top, np.zeros((2, 2)), np.zeros((2, 2)), 0.0, 1.0,
-                             fwd, fwd, 1, np.random.default_rng(0))
+                             fwd, fwd, np.random.default_rng(0))
 
 
 def test_fm_loss_row_permutation_invariance():
@@ -151,7 +155,7 @@ def test_fm_loss_row_permutation_invariance():
     fwd = make_const_field("forward", 2, 0.4)
     bwd = make_const_field("backward", 2, 0.4)
 
-    loss = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd, 1,
+    loss = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd,
                                 np.random.default_rng(9))
     nd.reset_tape()
     perm = rng.permutation(B)
@@ -163,9 +167,9 @@ def test_fm_loss_row_permutation_invariance():
         def uniform(self, size):
             return np.full(size, 0.37)
 
-    l1 = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd, 1, ConstRng())
+    l1 = trainer.fm_loss_topk(top, Za, Zb, 0.0, 1.0, fwd, bwd, ConstRng())
     nd.reset_tape()
-    l2 = trainer.fm_loss_topk(top_p, Za[perm], Zb, 0.0, 1.0, fwd, bwd, 1, ConstRng())
+    l2 = trainer.fm_loss_topk(top_p, Za[perm], Zb, 0.0, 1.0, fwd, bwd, ConstRng())
     nd.reset_tape()
     assert abs(float(l1.data) - float(l2.data)) < 1e-12
     assert float(loss.data) >= 0.0
