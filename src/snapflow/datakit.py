@@ -201,9 +201,8 @@ class HoldoutSplit:
         return "interp" if has_i else "none"
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"interp": list(map(float, self.interp_times)),
-                       "extrap": list(map(float, self.extrap_times))}, fh)
+        write_json_atomic(path, {"interp": list(map(float, self.interp_times)),
+                                 "extrap": list(map(float, self.extrap_times))})
 
     @staticmethod
     def request_from_json(path):

@@ -117,12 +117,9 @@ def eval_field(params, t, Z):
     elif emb.shape[0] != Z.shape[0]:
         raise nd.ShapeError("eval_field", (emb.shape[0],), (Z.shape[0],))
     x = nd.concat([Z, nd.constant(emb)], axis=-1)
-    h = nd.leaky_relu(nd.add(nd.matmul(x, params.w1), params.b1), LEAK)
-    # rebind h before the activation: under no_grad this frees layer 1's
-    # output before layer 2's activation allocates its temporaries
-    h = nd.add(nd.matmul(h, params.w2), params.b2)
-    h = nd.leaky_relu(h, LEAK)
-    out = nd.add(nd.matmul(h, params.w3), params.b3)
+    h = nd.dense(x, params.w1, params.b1, LEAK)
+    h = nd.dense(h, params.w2, params.b2, LEAK)
+    out = nd.dense(h, params.w3, params.b3)
     return nd.add(out, nd.matmul(Z, params.w_skip))
 
 

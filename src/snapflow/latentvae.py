@@ -81,9 +81,9 @@ def encode(params, X, rng=None, sample=True):
         raise ValueError("encode: input contains non-finite values")
     if X.data.ndim != 2 or X.shape[1] != params.gene_dim:
         raise nd.ShapeError("encode", X.shape, (X.shape[0], params.gene_dim))
-    h = nd.leaky_relu(nd.add(nd.matmul(X, params.enc_w1), params.enc_b1), LEAK)
-    mu = nd.add(nd.matmul(h, params.enc_w_mu), params.enc_b_mu)
-    logsig = nd.clip(nd.add(nd.matmul(h, params.enc_w_ls), params.enc_b_ls),
+    h = nd.dense(X, params.enc_w1, params.enc_b1, LEAK)
+    mu = nd.dense(h, params.enc_w_mu, params.enc_b_mu)
+    logsig = nd.clip(nd.dense(h, params.enc_w_ls, params.enc_b_ls),
                      LOGSIG_MIN, LOGSIG_MAX)
     sigma = nd.exp(logsig)
     if not sample:
@@ -100,8 +100,8 @@ def decode(params, Z):
     Z = Z if isinstance(Z, Tensor) else nd.constant(np.asarray(Z, dtype=np.float64))
     if Z.data.ndim != 2 or Z.shape[1] != params.latent_dim:
         raise nd.ShapeError("decode", Z.shape, (Z.shape[0], params.latent_dim))
-    h = nd.leaky_relu(nd.add(nd.matmul(Z, params.dec_w1), params.dec_b1), LEAK)
-    return nd.add(nd.matmul(h, params.dec_w2), params.dec_b2)
+    h = nd.dense(Z, params.dec_w1, params.dec_b1, LEAK)
+    return nd.dense(h, params.dec_w2, params.dec_b2)
 
 
 def kl_standard_normal(mu, sigma):

@@ -78,6 +78,9 @@ class ModelBundle:
         missing = set(named) - set(arrays)
         if missing:
             raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
+        unexpected = set(arrays) - set(named)
+        if unexpected:
+            raise ValueError(f"checkpoint has unexpected parameters: {sorted(unexpected)}")
         for name, tensor in named.items():
             arr = arrays[name]
             if arr.shape != tensor.data.shape:

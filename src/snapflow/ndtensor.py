@@ -35,24 +35,27 @@ class GradMissingError(RuntimeError):
 class Tape:
     """Ordered record of executed ops for one forward pass.
 
-    Each node stores the output tensor and, per input, a closure mapping the
-    output adjoint to that input's adjoint contribution.
+    Each node stores the output tensor, an optional gate and, per input, a
+    closure mapping the gated output adjoint to that input's adjoint
+    contribution. The gate, when present, runs once per backward visit, so
+    inputs that share an intermediate adjoint (a fused layer's
+    pre-activation gradient) do not recompute it.
     """
 
     def __init__(self):
-        self.nodes = []          # list of (out, [(inp, adjoint_fn), ...])
+        self.nodes = []          # list of (out, gate or None, [(inp, adjoint_fn), ...])
         self.leaves = []         # requires-grad tensors that are not op outputs
         self._leaf_ids = set()
         self.epoch = 0
 
-    def record(self, out, pairs):
+    def record(self, out, pairs, gate=None):
         for inp, _ in pairs:
             if inp.requires_grad and inp.node_id is None and id(inp) not in self._leaf_ids:
                 self._leaf_ids.add(id(inp))
                 self.leaves.append(inp)
         out.node_id = len(self.nodes)
         out.tape_epoch = self.epoch
-        self.nodes.append((out, pairs))
+        self.nodes.append((out, gate, pairs))
 
     def reset(self):
         self.nodes.clear()
@@ -161,11 +164,11 @@ def constant(data):
     return Tensor(data, requires_grad=False)
 
 
-def _make_out(data, pairs):
+def _make_out(data, pairs, gate=None):
     track = _GRAD_ENABLED and any(inp.requires_grad for inp, _ in pairs)
     out = Tensor(data, requires_grad=track)
     if track:
-        _TAPE.record(out, pairs)
+        _TAPE.record(out, pairs, gate)
     return out
 
 
@@ -254,11 +257,47 @@ def tanh(a):
     return _make_out(out_data, [(a, lambda g: g * (1.0 - out_data * out_data))])
 
 
+def _leaky(x, alpha, out=None):
+    """Leaky ReLU of ``x`` (into ``out`` if given) and its adjoint map.
+
+    ``max(x, alpha*x)`` needs no mask and, for 0 <= alpha <= 1, gives the
+    bits of ``where(x > 0, x, alpha*x)``. The adjoint reads its mask from
+    the output, which is positive exactly where ``x`` is, so ``out`` may be
+    ``x`` itself.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"leaky ReLU slope must be in [0, 1], got {alpha}")
+    y = np.maximum(x, alpha * x, out=out)
+    return y, lambda g: np.where(y > 0, g, alpha * g)
+
+
 def leaky_relu(a, alpha=0.01):
     a = as_tensor(a)
-    ad = a.data
-    out_data = np.where(ad > 0, ad, alpha * ad)
-    return _make_out(out_data, [(a, lambda g: g * np.where(ad > 0, 1.0, alpha))])
+    out_data, adj = _leaky(a.data, alpha)
+    return _make_out(out_data, [(a, adj)])
+
+
+def dense(x, W, b, leak=None):
+    """One layer ``x @ W + b``, followed by a leaky ReLU of slope ``leak``
+    unless it is None, recorded as a single tape node.
+
+    Gives the bits of ``leaky_relu(add(matmul(x, W), b), leak)``; the
+    backward visit forms the pre-activation gradient once and feeds x, W
+    and b from it.
+    """
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+    if (x.data.ndim != 2 or W.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != W.shape[0] or W.shape[1] != b.shape[0]):
+        raise ShapeError("dense", x.shape, W.shape, b.shape)
+    xd, Wd = x.data, W.data
+    pre = xd @ Wd
+    pre += b.data
+    gate = None
+    if leak is not None:
+        pre, gate = _leaky(pre, leak, out=pre)
+    pairs = [(x, lambda g: g @ Wd.T), (W, lambda g: xd.T @ g),
+             (b, lambda g: g.sum(axis=0))]
+    return _make_out(pre, pairs, gate)
 
 
 def square(a):
@@ -360,10 +399,12 @@ def backward(loss):
         raise ValueError("loss belongs to an already-consumed tape")
 
     loss.grad = np.ones_like(loss.data)
-    for out, pairs in reversed(_TAPE.nodes):
+    for out, gate, pairs in reversed(_TAPE.nodes):
         g = out.grad
         if g is None:
             continue
+        if gate is not None:
+            g = gate(g)
         for inp, adjoint in pairs:
             if inp.requires_grad:
                 _accumulate(inp, adjoint(g))

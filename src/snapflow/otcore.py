@@ -130,14 +130,18 @@ class _ScaledKernel:
     the scalings u, v act on top of it, so the current potentials are
     f + eps*log(u) and g + eps*log(v). Keeping u and v within [1/_TAU, _TAU]
     by absorbing them keeps K representable where exp(-C/eps) underflows.
+    u and v are views of one buffer ``uv``, updated in place, so the escape
+    test is one max and one min over it.
     """
 
     def __init__(self, C):
+        n, m = C.shape
         self.C = C
-        self.f = np.zeros(C.shape[0])
-        self.g = np.zeros(C.shape[1])
-        self.u = np.ones_like(self.f)
-        self.v = np.ones_like(self.g)
+        self.f = np.zeros(n)
+        self.g = np.zeros(m)
+        self.uv = np.ones(n + m)
+        self.u = self.uv[:n]
+        self.v = self.uv[n:]
         self.K = np.empty_like(C)
         self.eps = None
 
@@ -146,8 +150,7 @@ class _ScaledKernel:
         if self.eps is not None:
             self.f += self.eps * np.log(self.u)
             self.g += self.eps * np.log(self.v)
-        self.u = np.ones_like(self.f)
-        self.v = np.ones_like(self.g)
+        self.uv[:] = 1.0
         self.eps = eps
         np.add.outer(self.f, self.g, out=self.K)
         self.K -= self.C
@@ -155,8 +158,7 @@ class _ScaledKernel:
         np.exp(self.K, out=self.K)
 
     def escaped(self):
-        return (max(self.u.max(), self.v.max()) > _TAU
-                or min(self.u.min(), self.v.min()) < 1.0 / _TAU)
+        return self.uv.max() > _TAU or self.uv.min() < 1.0 / _TAU
 
     def potentials(self):
         return (self.f + self.eps * np.log(self.u),
@@ -188,8 +190,8 @@ def _sinkhorn_scaled(C, a, b, eps, max_iters, tol):
         it = 0
         while it < (max_iters if final else _STAGE_ITERS):
             it += 1
-            pr.v = b / Ktu
-            pr.u = a / (pr.K @ pr.v)
+            np.divide(b, Ktu, out=pr.v)
+            np.divide(a, pr.K @ pr.v, out=pr.u)
             Ktu = pr.K.T @ pr.u
             if final and np.abs(pr.v * Ktu - b).max() < tol:
                 return pr.plan(), it, True
@@ -288,7 +290,7 @@ def _divergence_potentials(X, Y, eps_target):
 
     In scaling form the averaged potential update f <- (f + softmin(g))/2
     reads u <- sqrt(u / K(b*v)), and likewise for v and for the self
-    problems, whose two scalings are one vector. Updating both sides from
+    problems, whose two scalings stay equal. Updating both sides from
     the previous iterate makes the result exactly symmetric under swapping X
     and Y, which the alternating solver is not at loose convergence. Returns
     the pair problem, the potentials of the self problems and the weights.
@@ -309,9 +311,11 @@ def _divergence_potentials(X, Y, eps_target):
         for _ in range(300 if final else _STAGE_ITERS):
             ru = pair.u / (pair.K @ (b * pair.v))
             rv = pair.v / (pair.K.T @ (a * pair.u))
-            pair.u, pair.v = np.sqrt(ru), np.sqrt(rv)
+            np.sqrt(ru, out=pair.u)
+            np.sqrt(rv, out=pair.v)
             for pr, w in ((self_x, a), (self_y, b)):
-                pr.u = pr.v = np.sqrt(pr.u / (pr.K @ (w * pr.u)))
+                np.sqrt(pr.u / (pr.K @ (w * pr.u)), out=pr.u)
+                pr.v[:] = pr.u
             for pr in problems:
                 if pr.escaped():
                     pr.rebuild(eps)

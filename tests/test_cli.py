@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from snapflow import ndtensor as nd
 from snapflow import trainer
 from snapflow.cli import main
+from snapflow.model import ModelBundle, build_model
 
 
 def write_spec(path, **overrides):
@@ -223,6 +225,17 @@ def test_unreadable_checkpoint_errors(workspace, tmp_path):
                "--data", str(workspace["data"]), "--times", "1.0",
                "--n", "5", "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_checkpoint_with_unexpected_parameter_rejected(tmp_path):
+    path = tmp_path / "ckpt.json"
+    build_model(gene_dim=5, latent_dim=3, vae_hidden=8, field_hidden=8,
+                time_dim=4).save(path)
+    arrays, meta = nd.load_checkpoint(path)
+    arrays["field.forward.w4"] = np.zeros(3)
+    nd.save_checkpoint(path, arrays, meta=meta)
+    with pytest.raises(ValueError, match=r"unexpected parameters: \['field\.forward\.w4'\]"):
+        ModelBundle.load(path)
 
 
 # ---------------------------------------------------------------------------

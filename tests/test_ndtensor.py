@@ -96,8 +96,11 @@ def test_accumulation_is_additive():
 def test_ops_do_not_mutate_operands():
     vals = np.array([1.0, -2.0, 3.0])
     x = nd.parameter(vals.copy())
+    # dense adds its bias in place to the matmul output: t is the bias there
+    rows, eye = nd.constant(np.ones((2, 3))), nd.constant(np.eye(3))
     for fn in (nd.exp, nd.tanh, nd.square, lambda t: nd.leaky_relu(t, 0.01),
-               lambda t: nd.clip(t, -1, 1), lambda t: nd.scale(t, 2.0)):
+               lambda t: nd.clip(t, -1, 1), lambda t: nd.scale(t, 2.0),
+               lambda t: nd.dense(rows, eye, t), lambda t: nd.dense(rows, eye, t, 0.01)):
         fn(x)
         assert np.array_equal(x.data, vals)
     nd.reset_tape()
@@ -117,6 +120,12 @@ def test_ops_do_not_mutate_operands():
     ("concat", lambda rng: rng.normal(size=(3, 4))),
     ("rows", lambda rng: rng.normal(size=(6, 4))),
     ("clip", lambda rng: rng.normal(size=(3, 4)) * 2.0),
+    ("dense_x", lambda rng: rng.normal(size=(3, 4))),
+    ("dense_W", lambda rng: rng.normal(size=(4, 2))),
+    ("dense_b", lambda rng: rng.normal(size=2)),
+    ("dense_leaky_x", lambda rng: rng.normal(size=(3, 4))),
+    ("dense_leaky_W", lambda rng: rng.normal(size=(4, 2))),
+    ("dense_leaky_b", lambda rng: rng.normal(size=2)),
 ])
 def test_per_op_finite_difference_sweep(op, make_input):
     # randomized gradient checks per op, several random points each
@@ -153,6 +162,13 @@ def test_per_op_finite_difference_sweep(op, make_input):
             return nd.take_rows(t, idx)
         if op == "clip":
             return nd.clip(t, -1.0, 1.0)
+        if op.startswith("dense"):
+            # the swept tensor takes the role named by the suffix
+            args = {"x": nd.constant(np.linspace(-1.0, 1.0, 12).reshape(3, 4)),
+                    "W": nd.constant(other), "b": nd.constant(bias[:2])}
+            args[op.rsplit("_", 1)[1]] = t
+            leak = 0.01 if "leaky" in op else None
+            return nd.dense(args["x"], args["W"], args["b"], leak)
         raise AssertionError(op)
 
     for _ in range(8):
@@ -167,6 +183,56 @@ def test_per_op_finite_difference_sweep(op, make_input):
         fd = central_diff_grad(scalar, x0, coords=coords)
         mask = ~np.isnan(fd)
         assert rel_err(p.grad[mask.reshape(x0.shape)], fd[mask]) < 1e-4
+
+
+@pytest.mark.parametrize("leak", [None, 0.01])
+def test_dense_is_bit_identical_to_three_op_layer(leak):
+    rng = np.random.default_rng(11)
+    x0, W0, b0 = rng.normal(size=(64, 20)), rng.normal(size=(20, 16)), rng.normal(size=16)
+    R = nd.constant(rng.normal(size=(64, 16)))
+
+    def run(layer):
+        x, W, b = nd.parameter(x0), nd.parameter(W0), nd.parameter(b0)
+        out = layer(x, W, b)
+        nd.backward(nd.tsum(nd.mul(out, R)))
+        return out.data, x.grad, W.grad, b.grad
+
+    def composed(x, W, b):
+        pre = nd.add(nd.matmul(x, W), b)
+        return pre if leak is None else nd.leaky_relu(pre, leak)
+
+    fused = run(lambda x, W, b: nd.dense(x, W, b, leak))
+    for got, want in zip(fused, run(composed)):
+        assert np.array_equal(got, want)
+
+
+def test_dense_records_one_tape_node():
+    x = nd.parameter(np.ones((2, 3)))
+    y = nd.dense(x, nd.parameter(np.ones((3, 4))), nd.parameter(np.zeros(4)), 0.01)
+    assert len(nd.active_tape().nodes) == 1
+    assert y.node_id == 0
+    nd.reset_tape()
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((2, 3), (4, 5), (5,)),     # x and W do not conform
+    ((2, 3), (3, 5), (4,)),     # W and b do not conform
+    ((2, 3), (3, 5), (1, 5)),   # b is not a vector
+    ((3,), (3, 5), (5,)),       # x is not a batch
+])
+def test_dense_shape_error(x_shape, w_shape, b_shape):
+    with pytest.raises(nd.ShapeError) as exc:
+        nd.dense(np.ones(x_shape), np.ones(w_shape), np.ones(b_shape))
+    assert "dense" in str(exc.value)
+
+
+def test_leaky_slope_outside_unit_interval_rejected():
+    # the mask-free max(x, alpha*x) is the leaky ReLU only for 0 <= alpha <= 1
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            nd.leaky_relu(np.ones(3), alpha)
+        with pytest.raises(ValueError):
+            nd.dense(np.ones((2, 3)), np.ones((3, 4)), np.zeros(4), alpha)
 
 
 def test_adam_first_step_hand_checked():
