@@ -113,10 +113,13 @@ def cmd_train(args):
               extra={"converged": log.converged,
                      "steps": len(log.records),
                      "phase1_epochs": log.phase1_epochs,
+                     "couplings": log.couplings,
+                     "unconverged_couplings": log.unconverged_couplings,
                      "split": split_info})
     last = log.records[-1] if log.records else {}
     print(f"trained {len(log.records)} steps "
           f"(phase I: {log.phase1_epochs} epochs, converged: {log.converged})")
+    print(f"{log.unconverged_couplings}/{log.couplings} couplings unconverged")
     if last:
         print(f"final: total={last['total']:.6g} l_vae={last['l_vae']:.6g} "
               f"l_fm={last['l_fm']:.6g}")
@@ -147,6 +150,10 @@ def cmd_evaluate(args):
     return 0
 
 
+def _prediction_name(t):
+    return f"prediction_t{t:g}.csv"
+
+
 def cmd_predict(args):
     started = time.time()
     if args.n < 1:
@@ -154,6 +161,13 @@ def cmd_predict(args):
     times = [float(x) for x in args.times.split(",") if x.strip()]
     if not times:
         raise ValueError("--times must list at least one query time")
+    named = {}
+    for t in times:
+        name = _prediction_name(t)
+        if name in named:
+            raise ValueError(f"--times {named[name]!r} and {t!r} would both "
+                             f"write {name}")
+        named[name] = t
     model, meta = ModelBundle.load(args.checkpoint)
     ds = _load_aligned(args.data, meta)
     seed = args.seed if args.seed is not None else 0
@@ -165,7 +179,7 @@ def cmd_predict(args):
         pred_ds = datakit.SnapshotDataset(
             times=np.array([pred.time]), matrices=[pred.cells],
             gene_names=list(ds.gene_names))
-        path = out / f"prediction_t{pred.time:g}.csv"
+        path = out / _prediction_name(pred.time)
         datakit.save_csv(pred_ds, path)
         written.append(path)
     if args.emit_projection:

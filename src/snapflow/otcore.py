@@ -355,7 +355,7 @@ def transport_cost_sq(plan, X, Y):
     """<P, D> with D_ij = ||x_i - y_j||^2, differentiable through X and/or Y.
 
     The plan is a fixed numpy array (stop-gradient on the coupling); either
-    side may be a DiffTensor, in which case a scalar tensor is returned.
+    side may be an nd.Tensor, in which case a scalar tensor is returned.
 
     Expands the quadratic so only O(B*G) tensor ops are recorded:
     <P,D> = sum_i r_i||x_i||^2 + sum_j c_j||y_j||^2 - 2 sum(X * (P @ Y)).

@@ -126,6 +126,12 @@ class TrainLog:
     converged: bool = False
     rollout_count: int = 0
     phase1_epochs: int = 0
+    couplings: int = 0              # Sinkhorn solves: step couplings + global plans
+    unconverged_couplings: int = 0  # of those, how many hit max_iters
+
+    def count_coupling(self, coupling):
+        self.couplings += 1
+        self.unconverged_couplings += not coupling.converged
 
     # "seconds" is always 0.0: wall time would make the log nondeterministic
     CSV_COLUMNS = ("step", "phase", "l_vae", "l_fm", "l_ot", "l_dyn",
@@ -194,19 +200,26 @@ def _rollout_latents(model, dataset, B, rng, ode_method, ode_step):
     return roll.states
 
 
-def _transport_term(x, y, config):
+def _solve(C, config, log):
+    """The entropic coupling of cost ``C`` under the config's Sinkhorn
+    settings; the solve is counted in ``log``."""
+    coupling = otcore.sinkhorn(C, epsilon=config.epsilon,
+                               max_iters=config.sinkhorn_max_iters,
+                               tol=config.sinkhorn_tol)
+    log.count_coupling(coupling)
+    return coupling
+
+
+def _transport_term(x, y, config, log):
     """Transport cost between two batches under an entropic plan of their
     squared distances; the plan is held fixed, so gradients flow through
     the cost alone.
     """
     D = otcore.pairwise_sqdist(nd.as_tensor(x).data, y.data)
-    plan = otcore.sinkhorn(D, epsilon=config.epsilon,
-                           max_iters=config.sinkhorn_max_iters,
-                           tol=config.sinkhorn_tol).plan
-    return otcore.transport_cost_sq(plan, x, y)
+    return otcore.transport_cost_sq(_solve(D, config, log).plan, x, y)
 
 
-def _fused_global_terms(model, dataset, config, rng):
+def _fused_global_terms(model, dataset, config, rng, log):
     """Both global losses from one shared rollout of encoded t_0 cells.
 
     ``l_ot`` is the gene-space transport cost between decoded rollout states
@@ -224,11 +237,11 @@ def _fused_global_terms(model, dataset, config, rng):
         obs = Xk[_sample_rows(rng, Xk.shape[0], config.batch)]
         if config.lambda_ot > 0:
             pred = latentvae.decode(model.vae, states[k])
-            term = _transport_term(obs, pred, config)
+            term = _transport_term(obs, pred, config, log)
             ot_terms = term if ot_terms is None else nd.add(ot_terms, term)
         if config.lambda_dyn > 0:
             _, _, z_enc = latentvae.encode(model.vae, obs, rng=rng)
-            term = _transport_term(z_enc, states[k], config)
+            term = _transport_term(z_enc, states[k], config, log)
             dyn_terms = term if dyn_terms is None else nd.add(dyn_terms, term)
     scale = 1.0 / dataset.n_timepoints
     l_ot = nd.scale(ot_terms, scale) if ot_terms is not None else None
@@ -267,10 +280,7 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
         bwd = lambda t, Z: eval_field(model.backward_field, t, Z).data
         with nd.no_grad():
             C = otcore.cost_bidirectional(Za.data, Zb.data, fwd, bwd, t_a, t_b)
-    pi = otcore.sinkhorn(C, epsilon=config.epsilon,
-                         max_iters=config.sinkhorn_max_iters,
-                         tol=config.sinkhorn_tol)
-    top = otcore.topk_truncate(pi, config.top_k)
+    top = otcore.topk_truncate(_solve(C, config, log), config.top_k)
 
     l_fm = fm_loss_topk(top, Za, Zb, t_a, t_b, model.forward_field,
                         model.backward_field, rng)
@@ -278,7 +288,7 @@ def train_step(model, dataset, config, s, rng, opt_state, log):
 
     l_ot = l_dyn = None
     if s % config.k_ot == 0 and (config.lambda_ot > 0 or config.lambda_dyn > 0):
-        l_ot, l_dyn = _fused_global_terms(model, dataset, config, rng)
+        l_ot, l_dyn = _fused_global_terms(model, dataset, config, rng, log)
         log.rollout_count += 1
         if l_ot is not None:
             total = nd.add(total, nd.scale(l_ot, config.lambda_ot))

@@ -93,6 +93,21 @@ def test_train_outputs(workspace):
     assert header == "step,phase,l_vae,l_fm,l_ot,l_dyn,total,retained_mass,seconds"
 
 
+def test_train_counts_unconverged_couplings(workspace, tmp_path, capsys):
+    cfg = write_config(tmp_path / "one_iter.json", sinkhorn_max_iters=1)
+    out = tmp_path / "one_iter"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+               "--split", str(workspace["split"]), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # 12 step couplings, plus an l_ot and an l_dyn plan per training time
+    # (3 after the split) at steps 5 and 10
+    assert manifest["couplings"] == 12 + 2 * 2 * 3
+    assert manifest["unconverged_couplings"] == manifest["couplings"]
+    assert "24/24 couplings unconverged" in capsys.readouterr().out
+
+
 def test_train_missing_config_key_names_it(tmp_path, workspace, capsys):
     blob = json.loads(workspace["config"].read_text())
     del blob["lambda_fm"]
@@ -205,6 +220,17 @@ def test_predict_n_zero_usage_error(workspace, tmp_path, capsys):
                "--n", "0", "--out", str(tmp_path / "z")])
     assert rc == 1
     assert "--n" in capsys.readouterr().err
+
+
+def test_predict_times_sharing_a_file_name_rejected(workspace, tmp_path, capsys):
+    out = tmp_path / "dup"
+    rc = main(["predict", "--checkpoint", str(workspace["checkpoint"]),
+               "--data", str(workspace["data"]), "--times", "1,1.0000001",
+               "--n", "5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "1.0" in err and "1.0000001" in err
+    assert not list(tmp_path.glob("**/prediction_t*.csv"))
 
 
 def test_predict_emit_projection(workspace, tmp_path):

@@ -183,6 +183,49 @@ def test_integrate_blowup_reports_time():
     assert exc.value.time > 0.0
 
 
+def block_rows(field):
+    width = max(field.hidden, field.latent_dim + field.embedding.dim)
+    return flowfield._INFER_BLOCK_BYTES // (8 * width)
+
+
+def one_call(field):
+    return lambda t, z: eval_field(field, t, z).data
+
+
+def test_integrate_array_state_in_row_blocks(fwd, monkeypatch):
+    rows = block_rows(fwd)
+    z0 = np.random.default_rng(2).normal(size=(2 * rows + 7, fwd.latent_dim))
+    with nd.no_grad():
+        whole = integrate(one_call(fwd), z0, 0.0, [0.35, 1.0], step=0.1)
+    sizes = []
+
+    def counted(params, t, Z):
+        sizes.append(len(Z))
+        return eval_field(params, t, Z)
+    monkeypatch.setattr(flowfield, "eval_field", counted)
+    nd.reset_tape()
+    blocked = integrate(fwd, z0, 0.0, [0.35, 1.0], step=0.1)
+    assert len(nd.active_tape().nodes) == 0
+    assert sizes[:3] == [rows, rows, 7]
+    assert len(sizes) == 3 * 4 * 11  # 3 blocks x 4 stages x 11 steps
+    for a, b in zip(blocked.states, whole.states):
+        assert np.array_equal(a, b)
+
+
+def test_blocked_blowup_in_last_block_reports_same_time(fwd):
+    rows = block_rows(fwd)
+    fwd.w_skip.data[:] = 100.0 * np.eye(fwd.latent_dim)
+    z0 = np.random.default_rng(3).normal(size=(2 * rows + 7, fwd.latent_dim))
+    z0[-5:] = 1e250
+    times = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for field in (fwd, one_call(fwd)):
+            with nd.no_grad(), pytest.raises(flowfield.IntegrationError) as exc:
+                integrate(field, z0, 0.0, [5.0], step=0.1)
+            times.append(exc.value.time)
+    assert times[0] == times[1] > 0.0
+
+
 def test_integrate_differentiable_rollout():
     # d/dz0 of z(T) under v = z is e^T
     z0 = nd.parameter(np.array([[1.0]]))

@@ -195,7 +195,8 @@ def test_global_ot_loss_identity_autoencoder_near_zero():
                                  gene_names=[f"g{i}" for i in range(4)])
     model = identity_model(4)
     cfg = trainer.TrainConfig(batch=24, epsilon=0.05, lambda_dyn=0.0)
-    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(1))
+    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(1),
+                                              trainer.TrainLog())
     assert l_dyn is None
     assert 0.0 <= float(loss.data) < 5 * 0.05
     nd.reset_tape()
@@ -206,7 +207,8 @@ def test_global_ot_loss_positive_for_untrained_model_on_shifted_data():
     cfg = tiny_config(batch=16, epsilon=0.05, lambda_dyn=0.0)
     model = build_model(ds.gene_dim, latent_dim=3, vae_hidden=16,
                         field_hidden=16, time_dim=8, t_min=0.0, t_max=2.0, seed=3)
-    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(4))
+    loss, l_dyn = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(4),
+                                              trainer.TrainLog())
     assert l_dyn is None
     assert float(loss.data) > 0.1
     nd.reset_tape()
@@ -221,7 +223,8 @@ def test_latent_dyn_loss_identity_near_zero_and_grows_with_gap():
         ds = datakit.SnapshotDataset(times=np.array(times), matrices=mats,
                                      gene_names=["a", "b", "c"])
         cfg = trainer.TrainConfig(batch=20, epsilon=0.05, lambda_ot=0.0)
-        l_ot, val = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(5))
+        l_ot, val = trainer._fused_global_terms(model, ds, cfg, np.random.default_rng(5),
+                                                trainer.TrainLog())
         assert l_ot is None
         nd.reset_tape()
         return float(val.data)
