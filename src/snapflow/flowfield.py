@@ -5,6 +5,8 @@ embeddings, and fixed-step Euler/RK4 integrators for latent rollouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -102,25 +104,54 @@ def init_field(direction, latent_dim, hidden, embedding, rng):
     )
 
 
-def eval_field(params, t, Z):
-    """Velocity batch for latents Z at time t (scalar, or one time per row).
-
-    Differentiable w.r.t. the field parameters and Z; inference runs it
-    under ``nd.no_grad()``.
-    """
-    Z = Z if isinstance(Z, Tensor) else nd.constant(np.asarray(Z, dtype=np.float64))
-    if Z.data.ndim != 2 or Z.shape[1] != params.latent_dim:
-        raise nd.ShapeError("eval_field", Z.shape, (Z.shape[0], params.latent_dim))
+def _field_forward(params, t, Z):
+    """Velocity rows of the array Z at time t (scalar, or one per row), and
+    the activations ``(Z, x, h1, h2)`` that ``_field_vjp`` reads."""
     emb = params.embedding(t)
     if emb.ndim == 1:
         emb = np.tile(emb, (Z.shape[0], 1))
     elif emb.shape[0] != Z.shape[0]:
         raise nd.ShapeError("eval_field", (emb.shape[0],), (Z.shape[0],))
-    x = nd.concat([Z, nd.constant(emb)], axis=-1)
-    h = nd.dense(x, params.w1, params.b1, LEAK)
-    h = nd.dense(h, params.w2, params.b2, LEAK)
-    out = nd.dense(h, params.w3, params.b3)
-    return nd.add(out, nd.matmul(Z, params.w_skip))
+    x = np.concatenate([Z, emb], axis=-1)
+    h1 = nd.affine(x, params.w1.data, params.b1.data, LEAK)
+    h2 = nd.affine(h1, params.w2.data, params.b2.data, LEAK)
+    v = nd.affine(h2, params.w3.data, params.b3.data) + Z @ params.w_skip.data
+    return v, (Z, x, h1, h2)
+
+
+def _field_vjp(params, acts, g, wrt_z=True):
+    """Adjoints of one evaluation for the velocity adjoint g: one per
+    parameter in ``parameters()`` order, then (if ``wrt_z``) Z's skip term
+    and concat slice, kept apart so that Z sums them in per-op tape order."""
+    Z, x, h1, h2 = acts
+    w1, _, w2, _, w3, _, w_skip = (p.data for p in params.parameters())
+    g2 = nd.leaky_grad(h2, g @ w3.T, LEAK)
+    g1 = nd.leaky_grad(h1, g2 @ w2.T, LEAK)
+    grads = [x.T @ g1, g1.sum(axis=0), h1.T @ g2, g2.sum(axis=0),
+             h2.T @ g, g.sum(axis=0), Z.T @ g]
+    if wrt_z:
+        grads += [g @ w_skip.T, (g1 @ w1.T)[:, :Z.shape[1]]]
+    return grads
+
+
+def _node(out, inputs, gate):
+    """``out`` as one tape node; ``gate`` gives a term for each of ``inputs``."""
+    return nd.make_out(out, [(inp, itemgetter(i)) for i, inp in enumerate(inputs)], gate)
+
+
+def eval_field(params, t, Z):
+    """Velocity batch for latents Z at time t (scalar, or one time per row).
+
+    Differentiable w.r.t. the field parameters and Z, recorded as one tape
+    node; inference runs it under ``nd.no_grad()``.
+    """
+    Z = nd.as_tensor(Z)
+    if Z.data.ndim != 2 or Z.shape[1] != params.latent_dim:
+        raise nd.ShapeError("eval_field", Z.shape, (Z.shape[0], params.latent_dim))
+    v, acts = _field_forward(params, t, Z.data)
+    wrt_z = Z.requires_grad
+    return _node(v, params.parameters() + [Z, Z] * wrt_z,
+                 lambda g: _field_vjp(params, acts, g, wrt_z))
 
 
 @dataclass
@@ -147,11 +178,9 @@ class Rollout:
 _INFER_BLOCK_BYTES = 256 * 1024
 
 
-def _field_fn(field, differentiable):
-    if callable(field) and not isinstance(field, VelocityFieldParams):
+def _field_fn(field):
+    if not isinstance(field, VelocityFieldParams):
         return field
-    if differentiable:
-        return lambda t, z: eval_field(field, t, z)
     # every layer is row-wise and t is shared, so blocks are independent
     width = max(field.hidden, field.latent_dim + field.embedding.dim)
     rows = max(1, _INFER_BLOCK_BYTES // (8 * width))
@@ -165,6 +194,49 @@ def _field_fn(field, differentiable):
     return infer
 
 
+def _advance(fn, t, z, h, method):
+    """The state one Euler or RK4 step of size h after the array z."""
+    if method == "euler":
+        return z + fn(t, z) * h
+    k1 = fn(t, z)
+    k2 = fn(t + h / 2, z + k1 * (h / 2))
+    k3 = fn(t + h / 2, z + k2 * (h / 2))
+    k4 = fn(t + h, z + k3 * h)
+    return z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
+
+
+def _step_node(field, t, z, h, method):
+    """``_advance`` of the Tensor state z as one tape node. To keep the bits
+    of per-op stage arithmetic, z takes the output adjoint, the stage
+    states' adjoints from last to first, then k1's skip and concat terms;
+    each parameter takes the last stage's term first."""
+    acts = []
+
+    def fn(s, zs):
+        v, a = _field_forward(field, s, zs)
+        acts.append(a)
+        return v
+
+    out = _advance(fn, t, z.data, h, method)
+    shifts = [None, h / 2, h / 2, h]    # stage i's state is z + k_{i-1} * shifts[i]
+
+    def gate(g):
+        g6 = g * (h / 6.0)
+        gk = [g * h] if method == "euler" else [g6, g6 * 2.0, g6 * 2.0, g6]
+        z_terms, param_terms = [g], []
+        for i in reversed(range(len(acts))):
+            grads = _field_vjp(field, acts[i], gk[i])
+            param_terms += grads[:-2]
+            if i == 0:
+                z_terms += grads[-2:]
+            else:
+                gz = grads[-2] + grads[-1]
+                z_terms.append(gz)
+                gk[i - 1] = gk[i - 1] + gz * shifts[i]
+        return z_terms + param_terms
+    return _node(out, [z] * (len(acts) + 2) + field.parameters() * len(acts), gate)
+
+
 def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
     """Fixed-step integration of dz/dt = field(t, z), recording every query time.
 
@@ -172,7 +244,8 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
     Steps are clipped at segment boundaries so each query time is hit
     exactly. Query times must move monotonically away from t0 (forward
     fields ascend, backward fields descend). Passing a Tensor z0 makes the
-    whole rollout differentiable; an array z0 records nothing on the tape,
+    rollout differentiable, one tape node per step, and needs a
+    VelocityFieldParams field. An array z0 records nothing on the tape,
     and a VelocityFieldParams field is then evaluated in row blocks whose
     widest activation takes at most ``_INFER_BLOCK_BYTES``, which keeps the
     temporaries of a large batch cache-sized.
@@ -196,7 +269,10 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
         raise ValueError(f"unknown method {method!r}")
 
     differentiable = isinstance(z0, Tensor)
-    fn = _field_fn(field, differentiable)
+    if differentiable and not isinstance(field, VelocityFieldParams):
+        raise TypeError("a Tensor state needs a VelocityFieldParams field")
+    advance = partial(_step_node, field) if differentiable \
+        else partial(_advance, _field_fn(field))
     z = z0 if differentiable else np.asarray(z0, dtype=np.float64)
     if not np.isfinite(z.data if differentiable else z).all():
         raise IntegrationError(t0, "non-finite initial state")
@@ -207,14 +283,7 @@ def integrate(field, z0, t0, query_times, method="rk4", step=0.1):
         remaining = t_q - t_cur
         while abs(remaining) > 1e-12:
             h = np.sign(remaining) * min(step, abs(remaining))
-            if method == "rk4":
-                k1 = fn(t_cur, z)
-                k2 = fn(t_cur + h / 2, z + k1 * (h / 2))
-                k3 = fn(t_cur + h / 2, z + k2 * (h / 2))
-                k4 = fn(t_cur + h, z + k3 * h)
-                z = z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0)
-            else:
-                z = z + fn(t_cur, z) * h
+            z = advance(t_cur, z, h, method)
             t_cur += h
             remaining = t_q - t_cur
             vals = z.data if differentiable else z

@@ -117,39 +117,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
 
-    # operators -------------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; divide by a scalar")
-        return scale(self, 1.0 / other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, sel):
-        return take_rows(self, sel)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -164,7 +131,9 @@ def constant(data):
     return Tensor(data, requires_grad=False)
 
 
-def _make_out(data, pairs, gate=None):
+def make_out(data, pairs, gate=None):
+    """Output of an op on ``pairs`` of (input, adjoint map), taped if any
+    input requires grad; an input listed twice sums its terms in list order."""
     track = _GRAD_ENABLED and any(inp.requires_grad for inp, _ in pairs)
     out = Tensor(data, requires_grad=track)
     if track:
@@ -199,7 +168,7 @@ def add(a, b):
     bc = _binary_shapes("add", a, b)
     ga = (lambda g: g.sum(axis=0)) if bc == "a" else (lambda g: g)
     gb = (lambda g: g.sum(axis=0)) if bc == "b" else (lambda g: g)
-    return _make_out(a.data + b.data, [(a, ga), (b, gb)])
+    return make_out(a.data + b.data, [(a, ga), (b, gb)])
 
 
 def sub(a, b):
@@ -207,7 +176,7 @@ def sub(a, b):
     bc = _binary_shapes("sub", a, b)
     ga = (lambda g: g.sum(axis=0)) if bc == "a" else (lambda g: g)
     gb = (lambda g: -g.sum(axis=0)) if bc == "b" else (lambda g: -g)
-    return _make_out(a.data - b.data, [(a, ga), (b, gb)])
+    return make_out(a.data - b.data, [(a, ga), (b, gb)])
 
 
 def mul(a, b):
@@ -216,19 +185,19 @@ def mul(a, b):
     ad, bd = a.data, b.data
     ga = (lambda g: (g * bd).sum(axis=0)) if bc == "a" else (lambda g: g * bd)
     gb = (lambda g: (g * ad).sum(axis=0)) if bc == "b" else (lambda g: g * ad)
-    return _make_out(ad * bd, [(a, ga), (b, gb)])
+    return make_out(ad * bd, [(a, ga), (b, gb)])
 
 
 def scale(a, c):
     a = as_tensor(a)
     c = float(c)
-    return _make_out(a.data * c, [(a, lambda g: g * c)])
+    return make_out(a.data * c, [(a, lambda g: g * c)])
 
 
 def add_scalar(a, c):
     a = as_tensor(a)
     c = float(c)
-    return _make_out(a.data + c, [(a, lambda g: g)])
+    return make_out(a.data + c, [(a, lambda g: g)])
 
 
 def matmul(a, b):
@@ -236,50 +205,60 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     ad, bd = a.data, b.data
-    return _make_out(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    return make_out(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
 def exp(a):
     a = as_tensor(a)
     out_data = np.exp(a.data)
-    return _make_out(out_data, [(a, lambda g: g * out_data)])
+    return make_out(out_data, [(a, lambda g: g * out_data)])
 
 
 def log(a):
     a = as_tensor(a)
     ad = a.data
-    return _make_out(np.log(ad), [(a, lambda g: g / ad)])
+    return make_out(np.log(ad), [(a, lambda g: g / ad)])
 
 
 def tanh(a):
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-    return _make_out(out_data, [(a, lambda g: g * (1.0 - out_data * out_data))])
+    return make_out(out_data, [(a, lambda g: g * (1.0 - out_data * out_data))])
 
 
 def _leaky(x, alpha, out=None):
-    """Leaky ReLU of ``x`` (into ``out`` if given) and its adjoint map.
+    """Leaky ReLU of ``x``, into ``out`` if given.
 
     ``max(x, alpha*x)`` needs no mask and, for 0 <= alpha <= 1, gives the
-    bits of ``where(x > 0, x, alpha*x)``. The adjoint reads its mask from
-    the output, which is positive exactly where ``x`` is, so ``out`` may be
-    ``x`` itself.
+    bits of ``where(x > 0, x, alpha*x)``. ``leaky_grad`` reads its mask
+    from the output, which is positive exactly where ``x`` is, so ``out``
+    may be ``x`` itself.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"leaky ReLU slope must be in [0, 1], got {alpha}")
-    y = np.maximum(x, alpha * x, out=out)
-    return y, lambda g: np.where(y > 0, g, alpha * g)
+    return np.maximum(x, alpha * x, out=out)
+
+
+def leaky_grad(y, g, alpha):
+    """The adjoint ``g`` of a leaky ReLU's output ``y``, taken to its input."""
+    return np.where(y > 0, g, alpha * g)
 
 
 def leaky_relu(a, alpha=0.01):
     a = as_tensor(a)
-    out_data, adj = _leaky(a.data, alpha)
-    return _make_out(out_data, [(a, adj)])
+    y = _leaky(a.data, alpha)
+    return make_out(y, [(a, lambda g: leaky_grad(y, g, alpha))])
+
+
+def affine(x, W, b, leak=None):
+    """The array ``x @ W + b``, then a leaky ReLU of slope ``leak`` unless None."""
+    y = x @ W
+    y += b
+    return y if leak is None else _leaky(y, leak, out=y)
 
 
 def dense(x, W, b, leak=None):
-    """One layer ``x @ W + b``, followed by a leaky ReLU of slope ``leak``
-    unless it is None, recorded as a single tape node.
+    """One layer ``affine(x, W, b, leak)``, recorded as a single tape node.
 
     Gives the bits of ``leaky_relu(add(matmul(x, W), b), leak)``; the
     backward visit forms the pre-activation gradient once and feeds x, W
@@ -290,20 +269,17 @@ def dense(x, W, b, leak=None):
             or x.shape[1] != W.shape[0] or W.shape[1] != b.shape[0]):
         raise ShapeError("dense", x.shape, W.shape, b.shape)
     xd, Wd = x.data, W.data
-    pre = xd @ Wd
-    pre += b.data
-    gate = None
-    if leak is not None:
-        pre, gate = _leaky(pre, leak, out=pre)
+    y = affine(xd, Wd, b.data, leak)
+    gate = None if leak is None else (lambda g: leaky_grad(y, g, leak))
     pairs = [(x, lambda g: g @ Wd.T), (W, lambda g: xd.T @ g),
              (b, lambda g: g.sum(axis=0))]
-    return _make_out(pre, pairs, gate)
+    return make_out(y, pairs, gate)
 
 
 def square(a):
     a = as_tensor(a)
     ad = a.data
-    return _make_out(ad * ad, [(a, lambda g: g * (2.0 * ad))])
+    return make_out(ad * ad, [(a, lambda g: g * (2.0 * ad))])
 
 
 def clip(a, lo, hi):
@@ -311,7 +287,7 @@ def clip(a, lo, hi):
     a = as_tensor(a)
     ad = a.data
     mask = (ad >= lo) & (ad <= hi)
-    return _make_out(np.clip(ad, lo, hi), [(a, lambda g: g * mask)])
+    return make_out(np.clip(ad, lo, hi), [(a, lambda g: g * mask)])
 
 
 def tsum(a, axis=None):
@@ -323,7 +299,7 @@ def tsum(a, axis=None):
             return np.broadcast_to(g, shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-    return _make_out(a.data.sum(axis=axis), [(a, adj)])
+    return make_out(a.data.sum(axis=axis), [(a, adj)])
 
 
 def tmean(a, axis=None):
@@ -336,7 +312,7 @@ def tmean(a, axis=None):
             return np.broadcast_to(g / n, shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy()
 
-    return _make_out(a.data.mean(axis=axis), [(a, adj)])
+    return make_out(a.data.mean(axis=axis), [(a, adj)])
 
 
 def concat(tensors, axis=-1):
@@ -359,7 +335,7 @@ def concat(tensors, axis=-1):
         out_data = np.concatenate([t.data for t in tensors], axis=ax)
     except ValueError:
         raise ShapeError("concat", *[t.shape for t in tensors])
-    return _make_out(out_data, pairs)
+    return make_out(out_data, pairs)
 
 
 def take_rows(a, sel):
@@ -376,7 +352,7 @@ def take_rows(a, sel):
         np.add.at(out, idx, g)
         return out
 
-    return _make_out(a.data[idx], [(a, adj)])
+    return make_out(a.data[idx], [(a, adj)])
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,3 @@ def make_identity_vae(dim):
         gene_dim=dim, latent_dim=dim, hidden=2 * dim,
     )
 
-
-def constant_drift_field(drift):
-    """Callable field v(t, z) = drift, broadcast over rows."""
-    drift = np.asarray(drift, dtype=np.float64)
-
-    def fn(t, z):
-        import snapflow.ndtensor as ndt
-        if isinstance(z, ndt.Tensor):
-            return ndt.constant(np.tile(drift, (z.shape[0], 1)))
-        return np.tile(drift, (len(z), 1))
-
-    return fn

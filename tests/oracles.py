@@ -2,7 +2,9 @@
 
 Everything here is deliberately implemented without the package's own
 machinery: finite differences instead of the tape, scipy's LP solver instead
-of Sinkhorn, and plain double loops instead of vectorized kernels.
+of Sinkhorn, and plain double loops instead of vectorized kernels. The one
+exception is the per-op rollout, which composes the tape's elementary ops
+as the bit-for-bit reference of the fused field and step nodes.
 """
 
 import math
@@ -171,3 +173,51 @@ def dip_null_threshold(sample_fn, n, trials=199, quantile=0.99, seed=0):
     rng = np.random.default_rng(seed)
     dips = np.array([dip_statistic(sample_fn(rng, n)) for _ in range(trials)])
     return float(np.quantile(dips, quantile))
+
+
+def per_op_field(field, t, Z):
+    """A field evaluation as six tape nodes: concat, three dense layers, the
+    skip matmul and an add."""
+    from snapflow import ndtensor as nd
+    from snapflow.latentvae import LEAK
+
+    emb = field.embedding(t)
+    if emb.ndim == 1:
+        emb = np.tile(emb, (Z.shape[0], 1))
+    x = nd.concat([Z, nd.constant(emb)], axis=-1)
+    h = nd.dense(x, field.w1, field.b1, LEAK)
+    h = nd.dense(h, field.w2, field.b2, LEAK)
+    return nd.add(nd.dense(h, field.w3, field.b3), nd.matmul(Z, field.w_skip))
+
+
+def per_op_rollout(field, z0, t0, query_times, method="rk4", step=0.1):
+    """Differentiable Euler/RK4 rollout of the Tensor z0 from per-op field
+    evaluations and nd.scale/nd.add stage arithmetic, recorded in the order
+    that ``z + (k1 + 2.0*k2 + 2.0*k3 + k4) * (h/6)`` over Tensors would
+    record it. Steps are clipped at query times as in ``integrate``.
+    Returns the states at the query times.
+    """
+    from snapflow import ndtensor as nd
+
+    def axpy(z, k, c):          # z + k*c
+        return nd.add(z, nd.scale(k, c))
+
+    z, t, states = z0, float(t0), []
+    for t_q in query_times:
+        remaining = t_q - t
+        while abs(remaining) > 1e-12:
+            h = np.sign(remaining) * min(step, abs(remaining))
+            k1 = per_op_field(field, t, z)
+            if method == "rk4":
+                k2 = per_op_field(field, t + h / 2, axpy(z, k1, h / 2))
+                k3 = per_op_field(field, t + h / 2, axpy(z, k2, h / 2))
+                k4 = per_op_field(field, t + h, axpy(z, k3, h))
+                ks = nd.add(nd.add(nd.add(k1, nd.scale(k2, 2.0)), nd.scale(k3, 2.0)), k4)
+                z = axpy(z, ks, h / 6.0)
+            else:
+                z = axpy(z, k1, h)
+            t += h
+            remaining = t_q - t
+        t = float(t_q)
+        states.append(z)
+    return states

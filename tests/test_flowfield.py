@@ -4,7 +4,7 @@ import pytest
 from snapflow import flowfield, ndtensor as nd
 from snapflow.flowfield import TimeEmbedding, init_field, eval_field, integrate
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, per_op_field, per_op_rollout, rel_err
 
 
 @pytest.fixture
@@ -226,12 +226,93 @@ def test_blocked_blowup_in_last_block_reports_same_time(fwd):
     assert times[0] == times[1] > 0.0
 
 
-def test_integrate_differentiable_rollout():
-    # d/dz0 of z(T) under v = z is e^T
+def test_integrate_differentiable_rollout(emb):
+    # d/dz0 of z(T) under v = z is e^T; every weight but the skip is zero at init
+    f = init_field("forward", 1, 4, emb, np.random.default_rng(0))
+    f.w_skip.data[:] = np.eye(1)
     z0 = nd.parameter(np.array([[1.0]]))
-    roll = integrate(lambda t, z: z, z0, 0.0, [1.0], method="rk4", step=0.1)
+    roll = integrate(f, z0, 0.0, [1.0], method="rk4", step=0.1)
     nd.backward(nd.tsum(roll.states[0]))
     assert abs(z0.grad[0, 0] - np.e) < 1e-4
+
+
+def test_integrate_tensor_state_needs_field_params():
+    calls = []
+    with pytest.raises(TypeError):
+        integrate(lambda t, z: calls.append(t) or z, nd.parameter(np.ones((1, 1))),
+                  0.0, [1.0])
+    assert calls == []
+
+
+QUERY = [0.35, 1.0]     # at step 0.1 the fourth step is clipped to 0.05
+
+
+def rollout_loss(states):
+    # reads both states, so an adjoint enters mid-rollout as well
+    if isinstance(states[0], nd.Tensor):
+        return nd.add(nd.tsum(nd.square(states[0])), nd.tsum(states[1]))
+    return float(np.sum(states[0] ** 2) + np.sum(states[1]))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_rollout_gradients_match_finite_differences(fwd, method):
+    z0 = np.random.default_rng(4).normal(size=(3, 3))
+    for p in fwd.parameters():
+        p.grad = None
+    zt = nd.parameter(z0)
+    nd.backward(rollout_loss(integrate(fwd, zt, 0.0, QUERY, method, 0.1).states))
+
+    def value(z):
+        return rollout_loss(integrate(fwd, z, 0.0, QUERY, method, 0.1).states)
+
+    assert rel_err(zt.grad, central_diff_grad(value, z0)) < 1e-4
+    for p in fwd.parameters():
+        saved = p.data
+
+        def with_param(v):
+            p.data = v
+            return value(z0)
+        fd = central_diff_grad(with_param, saved)
+        p.data = saved
+        assert rel_err(p.grad, fd, floor=1e-6) < 1e-4, p.name
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("query", [[1.0], QUERY])
+def test_step_node_keeps_per_op_bits(fwd, method, query):
+    z0 = np.random.default_rng(5).normal(size=(4, 3))
+
+    def run(rollout):
+        for p in fwd.parameters():
+            p.grad = None
+        z = nd.parameter(z0)
+        states = rollout(z)
+        nodes = len(nd.active_tape().nodes)
+        loss = rollout_loss(states) if len(states) == 2 else nd.tsum(nd.square(states[0]))
+        nd.backward(loss)
+        return nodes, [s.data for s in states] + [z.grad] + [p.grad for p in fwd.parameters()]
+
+    nodes, fused = run(lambda z: integrate(fwd, z, 0.0, query, method, 0.1).states)
+    _, per_op = run(lambda z: per_op_rollout(fwd, z, 0.0, query, method, 0.1))
+    assert nodes == (11 if len(query) == 2 else 10)     # one per step
+    assert len(fused) == len(per_op)
+    for a, b in zip(fused, per_op):
+        assert np.array_equal(a, b)
+
+
+def test_eval_field_node_keeps_per_op_bits(fwd):
+    rng = np.random.default_rng(6)
+    Z0, times = rng.normal(size=(5, 3)), rng.uniform(0, 7, size=5)
+    grads = []
+    for evaluate in (eval_field, per_op_field):
+        for p in fwd.parameters():
+            p.grad = None
+        Z = nd.parameter(Z0)
+        V = evaluate(fwd, times, Z)
+        nd.backward(nd.tsum(nd.square(V)))
+        grads.append([V.data, Z.grad] + [p.grad for p in fwd.parameters()])
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)
 
 
 def test_rollout_state_lookup():
